@@ -164,6 +164,8 @@ def cmd_train(args):
 
     try:
         train = _load_corpus(config.train, strict=True)
+        if len(train) == 0:
+            raise CorpusError(f"{config.train}: no sentences to train on")
         if config.valid:
             valid = _load_corpus(config.valid, strict=True)
         else:
@@ -297,6 +299,8 @@ def cmd_eval(args):
         return EXIT_DATA
     try:
         gold_corpus = _load_corpus(args.gold, strict=True)
+        if len(gold_corpus) == 0:
+            raise CorpusError(f"{args.gold}: no tokens to score")
     except CorpusError as exc:
         _log(f"error: {exc}")
         return EXIT_DATA

@@ -72,7 +72,10 @@ def _read_bytes(src, what):
 
 
 def _read_str(src, what):
-    return _read_bytes(src, what).decode("utf-8")
+    try:
+        return _read_bytes(src, what).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelFileError(f"{what} is not valid UTF-8") from exc
 
 
 def _write_block(out, name, payload):
@@ -308,6 +311,10 @@ def load_model(path):
         for _ in range(n_blocks):
             name, payload = _read_block(fh)
             blocks[name] = payload
+        if fh.read(1):
+            raise ModelFileError(f"{path}: trailing bytes after the last block")
+    if "meta" not in blocks:
+        raise ModelFileError(f"{path}: no meta block")
     meta = json.loads(blocks["meta"])
     if meta["kind"] == "crf":
         model, table = _crf_from_blocks(blocks)

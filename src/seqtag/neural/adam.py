@@ -59,11 +59,12 @@ def adam_step_rows(matrix, row_grads, state, name, learning_rate=0.001,
         return
     m, v = state.slot(name, matrix)
     t = state.t
-    for row, grad in row_grads.items():
-        m[row] *= beta1
-        m[row] += (1.0 - beta1) * grad
-        v[row] *= beta2
-        v[row] += (1.0 - beta2) * grad**2
-        m_hat = m[row] / (1.0 - beta1**t)
-        v_hat = v[row] / (1.0 - beta2**t)
-        matrix[row] -= learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)
+    rows = np.fromiter(row_grads, dtype=np.intp, count=len(row_grads))
+    grad = np.stack(list(row_grads.values()))
+    m_rows = m[rows] * beta1 + (1.0 - beta1) * grad
+    v_rows = v[rows] * beta2 + (1.0 - beta2) * grad**2
+    m[rows] = m_rows
+    v[rows] = v_rows
+    m_hat = m_rows / (1.0 - beta1**t)
+    v_hat = v_rows / (1.0 - beta2**t)
+    matrix[rows] -= learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)

@@ -13,12 +13,9 @@ import numpy as np
 
 
 def sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function without overflow: exp is only taken of -|z|."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass
@@ -80,64 +77,64 @@ def lstm_cell(x, h_prev, c_prev, params):
 
 def lstm_forward(xs, params):
     """Scan a (T, D) input from zero states; returns hidden states and
-    the per-step cache needed for the backward pass."""
+    the cache needed for the backward pass.
+
+    The input products for all steps are one GEMM; only U @ h stays in
+    the loop. The cache holds stacked (T, .) arrays: inputs, previous
+    hidden and cell states, activated gates (i|f|o|g) and tanh(c).
+    """
     n_steps = xs.shape[0]
     h_size = params.hidden_size
-    hs = np.zeros((n_steps, h_size))
-    cache = []
-    h = np.zeros(h_size)
-    c = np.zeros(h_size)
+    zx = xs @ params.W.T + params.b
+    gates = np.empty((n_steps, 4 * h_size))
+    sig = gates[:, : 3 * h_size]
+    i, f, o, g = np.split(gates, 4, axis=1)  # (T, H) views
+    hs = np.zeros((n_steps + 1, h_size))
+    cs = np.zeros((n_steps + 1, h_size))
+    tanh_cs = np.empty((n_steps, h_size))
     for t in range(n_steps):
-        z = params.W @ xs[t] + params.U @ h + params.b
-        i = sigmoid(z[:h_size])
-        f = sigmoid(z[h_size : 2 * h_size])
-        o = sigmoid(z[2 * h_size : 3 * h_size])
-        g = np.tanh(z[3 * h_size :])
-        c_new = f * c + i * g
-        tanh_c = np.tanh(c_new)
-        h_new = o * tanh_c
-        cache.append((xs[t], h, c, i, f, o, g, tanh_c))
-        h, c = h_new, c_new
-        hs[t] = h
-    return hs, cache
+        z = zx[t] + params.U @ hs[t]
+        sig[t] = sigmoid(z[: 3 * h_size])
+        g[t] = np.tanh(z[3 * h_size :])
+        cs[t + 1] = f[t] * cs[t] + i[t] * g[t]
+        tanh_cs[t] = np.tanh(cs[t + 1])
+        hs[t + 1] = o[t] * tanh_cs[t]
+    return hs[1:], (xs, hs[:-1], cs[:-1], gates, tanh_cs)
 
 
 def lstm_backward(cache, params, dhs):
     """BPTT given upstream gradients on every hidden state.
 
+    Only dh_next = U^T dz stays in the loop; the parameter and input
+    gradients are one GEMM each over the (T, 4H) gate gradients.
     Returns gradients on the inputs and a dict with keys "W", "U", "b".
     """
-    n_steps = len(cache)
+    xs, h_prev, c_prev, gates, tanh_cs = cache
+    n_steps = xs.shape[0]
     h_size = params.hidden_size
-    d_w = np.zeros_like(params.W)
-    d_u = np.zeros_like(params.U)
-    d_b = np.zeros_like(params.b)
-    dxs = np.zeros((n_steps, params.input_size))
+    i, f, o, g = np.split(gates, 4, axis=1)
+    # dz_t = [dc, dc, dh, dc] * local[t], with the gate derivatives folded in
+    local = np.concatenate(
+        [
+            g * i * (1.0 - i),
+            c_prev * f * (1.0 - f),
+            tanh_cs * o * (1.0 - o),
+            i * (1.0 - g**2),
+        ],
+        axis=1,
+    )
+    dc_from_dh = o * (1.0 - tanh_cs**2)
+    dz = np.empty((n_steps, 4 * h_size))
     dh_next = np.zeros(h_size)
     dc_next = np.zeros(h_size)
     for t in range(n_steps - 1, -1, -1):
-        x, h_prev, c_prev, i, f, o, g, tanh_c = cache[t]
         dh = dhs[t] + dh_next
-        do = dh * tanh_c
-        dc = dh * o * (1.0 - tanh_c**2) + dc_next
-        df = dc * c_prev
-        di = dc * g
-        dg = dc * i
-        dc_next = dc * f
-        dz = np.concatenate(
-            [
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                do * o * (1.0 - o),
-                dg * (1.0 - g**2),
-            ]
-        )
-        d_w += np.outer(dz, x)
-        d_u += np.outer(dz, h_prev)
-        d_b += dz
-        dxs[t] = params.W.T @ dz
-        dh_next = params.U.T @ dz
-    return dxs, {"W": d_w, "U": d_u, "b": d_b}
+        dc = dh * dc_from_dh[t] + dc_next
+        np.multiply(np.concatenate((dc, dc, dh, dc)), local[t], out=dz[t])
+        dc_next = dc * f[t]
+        dh_next = dz[t] @ params.U
+    grads = {"W": dz.T @ xs, "U": dz.T @ h_prev, "b": dz.sum(axis=0)}
+    return dz @ params.W, grads
 
 
 def bilstm_encode(xs, fwd, bwd):

@@ -130,6 +130,34 @@ def test_tag_empty_input(tmp_path, sample_file, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_eval_empty_gold_is_data_error(tmp_path, sample_file, capsys):
+    model_out = tmp_path / "model.bin"
+    config = crf_config(tmp_path, sample_file, model_out, epochs=2)
+    assert main(["train", str(config)]) == 0
+    capsys.readouterr()
+    empty = tmp_path / "empty.conll"
+    empty.write_text("", encoding="utf-8")
+    assert main(["eval", str(model_out), str(empty)]) == 1
+    captured = capsys.readouterr()
+    assert "error: " in captured.err and "no tokens to score" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "model",
+    [{"model": "crf"}, {"model": "bilstm-crf", "embedding": "random"}],
+    ids=["crf", "bilstm-crf"],
+)
+def test_train_empty_corpus_is_data_error(tmp_path, model, capsys):
+    empty = tmp_path / "empty.conll"
+    empty.write_text("\n\n", encoding="utf-8")
+    model_out = tmp_path / "model.bin"
+    config = crf_config(tmp_path, empty, model_out, **model)
+    assert main(["train", str(config)]) == 1
+    assert "no sentences to train on" in capsys.readouterr().err
+    assert not model_out.exists()
+
+
 def test_joint_neural_tag_emits_pos_column(tmp_path, capsys):
     corpus = make_corpus(10, seed=31)
     train = write_corpus(tmp_path, corpus, "train.conll")

@@ -5,6 +5,7 @@ from synthgen import make_corpus
 from seqtag.crf import CrfTrainConfig, tag_crf, train_crf
 from seqtag.embeddings import EmbeddingConfig, init_random
 from seqtag.modelfile import (
+    ModelFileError,
     NotAModelFileError,
     TruncatedModelFileError,
     VersionMismatchError,
@@ -129,4 +130,32 @@ def test_truncated_file_distinct_error(tmp_path, crf_model):
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(TruncatedModelFileError):
+        load_model(path)
+
+
+def test_trailing_bytes_rejected(tmp_path, crf_model):
+    path = tmp_path / "tail.bin"
+    save_model(crf_model, path, "crf")
+    path.write_bytes(path.read_bytes() + b"\x00" * 8)
+    with pytest.raises(ModelFileError, match="trailing bytes"):
+        load_model(path)
+
+
+def test_missing_meta_block_rejected(tmp_path, crf_model):
+    path = tmp_path / "nometa.bin"
+    data = save_model(crf_model, path, "crf")
+    named_meta = b"\x04\x00\x00\x00meta"
+    assert data.count(named_meta) == 1
+    path.write_bytes(data.replace(named_meta, b"\x04\x00\x00\x00mota"))
+    with pytest.raises(ModelFileError, match="no meta block"):
+        load_model(path)
+
+
+def test_invalid_utf8_kind_rejected(tmp_path, crf_model):
+    path = tmp_path / "kind.bin"
+    data = bytearray(save_model(crf_model, path, "crf"))
+    assert data[8:15] == b"\x03\x00\x00\x00crf"
+    data[12] = 0xFF
+    path.write_bytes(bytes(data))
+    with pytest.raises(ModelFileError, match="model kind is not valid UTF-8"):
         load_model(path)

@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqtag.corpus import NER_LABELS, NerLabel, Sentence, Token
 from seqtag.embeddings import EmbeddingConfig, init_random, load_text_vectors
 from seqtag.neural import (
     AdamState,
     Architecture,
+    LstmParams,
     adam_step,
+    adam_step_rows,
     batch_loss_and_gradients,
     build_tagger,
+    lstm_cell,
 )
+from seqtag.neural.lstm import lstm_backward, lstm_forward, sigmoid
 
 
 def tiny_sentences():
@@ -168,6 +174,80 @@ def test_dropout_masks_fixed_between_forward_and_backward():
 
 
 # ---------------------------------------------------------------------------
+# LSTM scan and BPTT against the per-step reference
+
+
+def reference_lstm(xs, params, dhs):
+    """Per-step scan with lstm_cell and BPTT with np.outer per step."""
+    size = params.hidden_size
+    h, c = np.zeros(size), np.zeros(size)
+    hs, steps = [], []
+    for x in xs:
+        z = params.W @ x + params.U @ h + params.b
+        i, f, o = (sigmoid(z[k * size : (k + 1) * size]) for k in range(3))
+        g = np.tanh(z[3 * size :])
+        h_new, c_new = lstm_cell(x, h, c, params)
+        steps.append((x, h, c, i, f, o, g, np.tanh(c_new)))
+        h, c = h_new, c_new
+        hs.append(h)
+    d_w, d_u, d_b = np.zeros_like(params.W), np.zeros_like(params.U), np.zeros_like(params.b)
+    dxs = np.zeros_like(xs)
+    dh_next, dc_next = np.zeros(size), np.zeros(size)
+    for t in range(len(xs) - 1, -1, -1):
+        x, h_prev, c_prev, i, f, o, g, tanh_c = steps[t]
+        dh = dhs[t] + dh_next
+        dc = dh * o * (1.0 - tanh_c**2) + dc_next
+        dz = np.concatenate(
+            [
+                dc * g * i * (1.0 - i),
+                dc * c_prev * f * (1.0 - f),
+                dh * tanh_c * o * (1.0 - o),
+                dc * i * (1.0 - g**2),
+            ]
+        )
+        d_w += np.outer(dz, x)
+        d_u += np.outer(dz, h_prev)
+        d_b += dz
+        dxs[t] = params.W.T @ dz
+        dh_next = params.U.T @ dz
+        dc_next = dc * f
+    return np.array(hs), dxs, {"W": d_w, "U": d_u, "b": d_b}
+
+
+def assert_close_to_reference(got, want):
+    # sums run in another order: 1e-12 relative to the array's largest
+    # entry (at least 1), since summed gradients may cancel
+    scale = max(1.0, float(np.abs(want).max()))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_steps=st.integers(1, 12),
+    input_size=st.integers(1, 6),
+    hidden=st.integers(1, 5),
+    bias_scale=st.sampled_from([0.0, 1.0, 40.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lstm_scan_and_bptt_match_per_step_reference(n_steps, input_size, hidden,
+                                                     bias_scale, seed):
+    rng = np.random.default_rng(seed)
+    params = LstmParams.init(input_size, hidden, rng)
+    params.b[...] = rng.normal(0.0, bias_scale, size=params.b.shape)
+    xs = rng.normal(size=(n_steps, input_size))
+    dhs = rng.normal(size=(n_steps, hidden))
+
+    want_hs, want_dxs, want_grads = reference_lstm(xs, params, dhs)
+    hs, cache = lstm_forward(xs, params)
+    dxs, grads = lstm_backward(cache, params, dhs)
+    assert_close_to_reference(hs, want_hs)
+    assert_close_to_reference(dxs, want_dxs)
+    assert sorted(grads) == ["U", "W", "b"]
+    for key, want in want_grads.items():
+        assert_close_to_reference(grads[key], want)
+
+
+# ---------------------------------------------------------------------------
 # Adam
 
 
@@ -224,3 +304,58 @@ def test_adam_identical_runs_identical_trajectories():
 def test_adam_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         adam_step({"w": np.zeros(3)}, {"w": np.zeros(4)}, AdamState())
+
+
+def reference_adam_rows(matrix, row_grads, state, name, learning_rate=0.001,
+                        beta1=0.9, beta2=0.999, epsilon=1e-8):
+    """One row at a time: the loop adam_step_rows must reproduce bit for bit."""
+    m, v = state.slot(name, matrix)
+    t = state.t
+    for row, grad in row_grads.items():
+        m[row] *= beta1
+        m[row] += (1.0 - beta1) * grad
+        v[row] *= beta2
+        v[row] += (1.0 - beta2) * grad**2
+        m_hat = m[row] / (1.0 - beta1**t)
+        v_hat = v[row] / (1.0 - beta2**t)
+        matrix[row] -= learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_rows=st.integers(1, 30),
+    dim=st.integers(1, 6),
+    n_steps=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_adam_step_rows_matches_per_row_loop_bit_for_bit(n_rows, dim, n_steps, seed):
+    rng = np.random.default_rng(seed)
+    start = rng.normal(size=(n_rows, dim))
+    got, want = start.copy(), start.copy()
+    got_state, want_state = AdamState(), AdamState()
+    touched = set()
+    for _ in range(n_steps):
+        got_state.t += 1
+        want_state.t += 1
+        rows = rng.choice(n_rows, size=rng.integers(1, n_rows + 1), replace=False)
+        row_grads = {int(r): rng.normal(0.0, 10.0, size=dim) for r in rows}
+        touched.update(row_grads)
+        adam_step_rows(got, row_grads, got_state, "w", learning_rate=0.01)
+        reference_adam_rows(want, row_grads, want_state, "w", learning_rate=0.01)
+        assert got.tobytes() == want.tobytes()
+        assert got_state.m["w"].tobytes() == want_state.m["w"].tobytes()
+        assert got_state.v["w"].tobytes() == want_state.v["w"].tobytes()
+    for row in set(range(n_rows)) - touched:
+        assert got[row].tobytes() == start[row].tobytes()
+
+
+def test_adam_step_rows_updates_a_row_view_in_place():
+    # the trainer passes unk_vector[None, :]: the update must reach the vector
+    unk = np.array([0.5, -1.0, 2.0])
+    want = unk[None, :].copy()
+    grad = np.array([0.25, -0.5, 1.0])
+    state, want_state = AdamState(t=1), AdamState(t=1)
+    adam_step_rows(unk[None, :], {0: grad}, state, "emb.unk")
+    reference_adam_rows(want, {0: grad}, want_state, "emb.unk")
+    assert unk.tobytes() == want[0].tobytes()
+    assert not np.array_equal(unk, [0.5, -1.0, 2.0])

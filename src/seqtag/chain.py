@@ -3,6 +3,9 @@
 A path y_1..y_T scores sum_t emissions[t, y_t] + sum_{t>=1}
 transitions[y_{t-1}, y_t]; there are no separate start or end scores.
 All recursions run in log space with max-subtraction for stability.
+
+sequence_nll and nll_gradients are the one training objective of the
+feature CRF and the neural CRF head alike.
 """
 
 from __future__ import annotations
@@ -93,3 +96,25 @@ def marginals(emissions, transitions):
             - log_z
         )
     return node, edge
+
+
+def sequence_nll(emissions, transitions, gold):
+    """Negative log-likelihood of the gold path: log Z minus its score."""
+    return log_partition(emissions, transitions) - path_score(emissions, transitions, gold)
+
+
+def nll_gradients(emissions, transitions, gold):
+    """Gradients of sequence_nll on the emissions and the transitions.
+
+    d_emissions is the node marginals minus one-hot(gold); d_transitions
+    is the summed edge marginals minus the gold path's transition counts,
+    which count a bigram once per occurrence.
+    """
+    node, edge = marginals(emissions, transitions)
+    gold = np.asarray(gold)
+    if gold.shape != (node.shape[0],):
+        raise ValueError("gold length does not match emissions")
+    node[np.arange(len(gold)), gold] -= 1.0
+    d_transitions = edge.sum(axis=0)
+    np.subtract.at(d_transitions, (gold[:-1], gold[1:]), 1.0)
+    return node, d_transitions

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from seqtag import metrics
+from seqtag import NonFiniteLossError, metrics
 from seqtag.config import ConfigError, echo_config, parse_config
 from seqtag.corpus import (
     Corpus,
@@ -193,11 +193,6 @@ def cmd_train(args):
             train, valid, crf_config, task=config.task, embeddings=embeddings,
             log=records,
         )
-        log_lines = [
-            "epoch={epoch} train_loss={train_nll:.6f} valid_loss={valid_nll:.6f} "
-            "seconds={seconds:.3f}".format(**r)
-            for r in records
-        ]
     else:
         neural_config = NeuralTrainConfig(
             learning_rate=config.learning_rate,
@@ -218,8 +213,8 @@ def cmd_train(args):
             embeddings=embeddings,
             embedding_config=_embedding_config(config),
         )
-        log_lines = format_training_log(records)
 
+    log_lines = format_training_log(records)
     for line in log_lines:
         _log(line)
     snapshot = "\n".join(echo_config(config, include_paths=False)) + "\n"
@@ -369,7 +364,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
+    except (OSError, NonFiniteLossError) as exc:
         _log(f"error: {exc}")
         return EXIT_DATA
 

@@ -4,6 +4,13 @@ exact inference, single-task NER or joint POS+NER via product labels.
 Joint operation folds the POS tag into the label, restricting the label
 set to (NER, POS) pairs observed in training; predictions project back
 to the NER component.
+
+Scoring and the gradient take one path. A sentence's feature maps are
+indexed once into CSR arrays (weight row, value and token position per
+entry); one scorer turns them into the (T, L) emission matrix, the chain
+module's sequence_nll and nll_gradients give the loss and its gradient
+on that matrix, and one scatter sums the gradient into weight rows. The
+trainer, emissions and nll_and_gradient all run this path.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from seqtag import chain
+from seqtag import chain, check_finite_losses
 from seqtag.corpus import NER_LABELS, POS_TAGS
 from seqtag.features import sentence_features
 
@@ -79,12 +86,6 @@ class CrfModel:
             raise KeyError(f"label {label!r} outside the model's label set")
         return idx
 
-    def state_weight(self, feature, label):
-        row = self.feature_index.get(feature)
-        if row is None:
-            return 0.0
-        return float(self.state_weights[row, self.label_id(label)])
-
 
 def single_task_labels():
     return list(NER_LABELS)
@@ -106,30 +107,60 @@ def project_ner(label, task):
     return label if task == "single" else label[0]
 
 
+def _index_rows(lookup, features):
+    """A sentence's feature maps in CSR form: (rows, values, positions,
+    starts). Entry i adds values[i] times weight row rows[i] to token
+    positions[i]; entries run in token order, and starts holds the first
+    entry of each token that has one. lookup(key) gives a key's row, or
+    None to drop the key."""
+    rows, values, positions = [], [], []
+    for t, feats in enumerate(features):
+        for key, value in feats.items():
+            row = lookup(key)
+            if row is not None:
+                rows.append(row)
+                values.append(value)
+                positions.append(t)
+    positions = np.array(positions, dtype=np.intp)
+    starts = np.flatnonzero(np.diff(positions, prepend=-1))
+    return np.array(rows, dtype=np.intp), np.array(values, dtype=float), positions, starts
+
+
+def _scores(weights, csr, n_tokens):
+    """Score matrix (T, L) of a CSR sentence. reduceat sums the tokens
+    that have entries only, because it reads an empty segment as the
+    entry at its start."""
+    rows, values, positions, starts = csr
+    scores = np.zeros((n_tokens, weights.shape[1]))
+    scores[positions[starts]] = np.add.reduceat(values[:, None] * weights[rows], starts)
+    return scores
+
+
+def _nll_and_entry_gradients(weights, transitions, csr, gold_ids):
+    """Sentence NLL, the weight-row gradient of each CSR entry and the
+    transition gradient."""
+    _, values, positions, _ = csr
+    scores = _scores(weights, csr, len(gold_ids))
+    nll = chain.sequence_nll(scores, transitions, gold_ids)
+    d_scores, d_transitions = chain.nll_gradients(scores, transitions, gold_ids)
+    return nll, values[:, None] * d_scores[positions], d_transitions
+
+
+def _sum_rows(rows, entry_gradients):
+    """Entry gradients summed per weight row: (distinct rows, sums)."""
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    return rows[starts], np.add.reduceat(entry_gradients[order], starts)
+
+
 def emissions(model, sentence, features):
     """Score matrix (T, L): entry (t, y) sums weight * value over the
     features present at t."""
     if len(features) != len(sentence):
         raise ValueError("need one feature map per token")
-    scores = np.zeros((len(sentence), model.n_labels))
-    weights = model.state_weights
-    index = model.feature_index
-    for t, feats in enumerate(features):
-        rows, values = [], []
-        for key, value in feats.items():
-            row = index.get(key)
-            if row is not None:
-                rows.append(row)
-                values.append(value)
-        if rows:
-            scores[t] = np.asarray(values) @ weights[rows]
-    return scores
-
-
-def _gold_indices(model, sentence, gold):
-    if len(gold) != len(sentence):
-        raise ValueError("gold length does not match sentence length")
-    return [model.label_id(label) for label in gold]
+    csr = _index_rows(model.feature_index.get, features)
+    return _scores(model.state_weights, csr, len(sentence))
 
 
 def nll_and_gradient(model, sentence, gold, l2=0.0, features=None, embeddings=None):
@@ -138,120 +169,34 @@ def nll_and_gradient(model, sentence, gold, l2=0.0, features=None, embeddings=No
     The gradient is (feature-keyed sparse map of per-label vectors,
     dense L x L transition gradient): expected counts under the model
     minus empirical counts, plus the l2 penalty term at the given
-    strength. Trainers pass l2=0 here and apply the batch-scaled
-    penalty themselves.
+    strength. Keys without a weight row get no entry. Trainers pass
+    l2=0 here and apply the batch-scaled penalty themselves.
     """
     if features is None:
         features = sentence_features(
             sentence, model.feature_config.use_embeddings, embeddings
         )
-    gold_ids = _gold_indices(model, sentence, gold)
-    scores = emissions(model, sentence, features)
-    log_z = chain.log_partition(scores, model.transitions)
-    gold_score = chain.path_score(scores, model.transitions, gold_ids)
-    node, edge = chain.marginals(scores, model.transitions)
+    if not len(features) == len(gold) == len(sentence):
+        raise ValueError("need one feature map and one gold label per token")
+    gold_ids = [model.label_id(label) for label in gold]
+    index = model.feature_index
+    csr = _index_rows(index.get, features)
+    nll, entry_gradients, grad_trans = _nll_and_entry_gradients(
+        model.state_weights, model.transitions, csr, gold_ids
+    )
+    keys = {index[key]: key for feats in features for key in feats if key in index}
+    grad_map = {keys[row]: grad for row, grad in zip(*_sum_rows(csr[0], entry_gradients))}
 
-    n_labels = model.n_labels
-    grad_map = {}
-    for t, feats in enumerate(features):
-        delta = node[t].copy()
-        delta[gold_ids[t]] -= 1.0
-        for key, value in feats.items():
-            existing = grad_map.get(key)
-            if existing is None:
-                grad_map[key] = value * delta
-            else:
-                existing += value * delta
-    grad_trans = edge.sum(axis=0) if edge.shape[0] else np.zeros((n_labels, n_labels))
-    for t in range(1, len(gold_ids)):
-        grad_trans[gold_ids[t - 1], gold_ids[t]] -= 1.0
-
-    nll = log_z - gold_score
     if l2 > 0.0:
         nll += 0.5 * l2 * (
             float((model.state_weights**2).sum()) + float((model.transitions**2).sum())
         )
-        for key, row in model.feature_index.items():
+        for key, row in index.items():
             weight_row = model.state_weights[row]
-            if key in grad_map:
-                grad_map[key] += l2 * weight_row
-            elif np.any(weight_row):
-                grad_map[key] = l2 * weight_row.copy()
+            if key in grad_map or np.any(weight_row):
+                grad_map[key] = grad_map.get(key, 0.0) + l2 * weight_row
         grad_trans += l2 * model.transitions
     return nll, (grad_map, grad_trans)
-
-
-class _TrainState:
-    """Growable feature-indexed weight matrix used during training."""
-
-    def __init__(self, n_labels):
-        self.n_labels = n_labels
-        self.feature_index = {}
-        self.matrix = np.zeros((256, n_labels))
-        self.transitions = np.zeros((n_labels, n_labels))
-
-    @property
-    def n_features(self):
-        return len(self.feature_index)
-
-    def row(self, key):
-        idx = self.feature_index.get(key)
-        if idx is None:
-            idx = len(self.feature_index)
-            self.feature_index[key] = idx
-            if idx >= self.matrix.shape[0]:
-                grown = np.zeros((self.matrix.shape[0] * 2, self.n_labels))
-                grown[: self.matrix.shape[0]] = self.matrix
-                self.matrix = grown
-        return idx
-
-    def snapshot(self):
-        return self.matrix[: self.n_features].copy(), self.transitions.copy()
-
-
-def _index_features(state, features):
-    """Pre-resolve feature keys to rows (registering new ones)."""
-    return [
-        ([state.row(k) for k in feats], np.fromiter(feats.values(), dtype=float))
-        for feats in features
-    ]
-
-
-def _sentence_nll_and_sparse_grad(state, indexed, gold_ids):
-    n_labels = state.n_labels
-    scores = np.zeros((len(indexed), n_labels))
-    weights = state.matrix
-    for t, (rows, values) in enumerate(indexed):
-        if rows:
-            scores[t] = values @ weights[rows]
-    log_z = chain.log_partition(scores, state.transitions)
-    gold_score = chain.path_score(scores, state.transitions, gold_ids)
-    node, edge = chain.marginals(scores, state.transitions)
-
-    grad_rows = {}
-    for t, (rows, values) in enumerate(indexed):
-        delta = node[t].copy()
-        delta[gold_ids[t]] -= 1.0
-        for row, value in zip(rows, values):
-            existing = grad_rows.get(row)
-            if existing is None:
-                grad_rows[row] = value * delta
-            else:
-                existing += value * delta
-    grad_trans = edge.sum(axis=0) if edge.shape[0] else np.zeros((n_labels, n_labels))
-    for t in range(1, len(gold_ids)):
-        grad_trans[gold_ids[t - 1], gold_ids[t]] -= 1.0
-    return log_z - gold_score, grad_rows, grad_trans
-
-
-def _sentence_nll(state, indexed, gold_ids):
-    scores = np.zeros((len(indexed), state.n_labels))
-    for t, (rows, values) in enumerate(indexed):
-        if rows:
-            scores[t] = values @ state.matrix[rows]
-    return chain.log_partition(scores, state.transitions) - chain.path_score(
-        scores, state.transitions, gold_ids
-    )
 
 
 def train_crf(corpus, valid, config, task="single", embeddings=None, log=None):
@@ -261,7 +206,8 @@ def train_crf(corpus, valid, config, task="single", embeddings=None, log=None):
     config.patience epochs; the returned model carries the parameters of
     the best validation epoch. Validation sentences with labels outside
     the training label set (possible for joint product labels) are left
-    out of the validation score.
+    out of the validation score. Raises NonFiniteLossError when an
+    epoch's training or validation loss is not finite.
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
@@ -271,95 +217,85 @@ def train_crf(corpus, valid, config, task="single", embeddings=None, log=None):
 
     labels = single_task_labels() if task == "single" else joint_task_labels(corpus)
     label_index = {label: i for i, label in enumerate(labels)}
-    state = _TrainState(len(labels))
+    n_labels = len(labels)
+    feature_index = {}
 
-    def prepare(data, register):
-        items = []
-        for sentence in data:
-            feats = sentence_features(sentence, use_emb, embeddings)
-            gold = [label_index.get(gold_label(t, task)) for t in sentence]
-            if any(g is None for g in gold):
-                items.append(None)
-                continue
-            if register:
-                indexed = _index_features(state, feats)
-            else:
-                indexed = [
-                    (
-                        [state.feature_index[k] for k in f if k in state.feature_index],
-                        np.fromiter(
-                            (v for k, v in f.items() if k in state.feature_index),
-                            dtype=float,
-                        ),
-                    )
-                    for f in feats
-                ]
-            items.append((indexed, gold))
-        return items
+    def register(key):
+        return feature_index.setdefault(key, len(feature_index))
 
-    train_items = prepare(corpus, register=True)
-    if any(item is None for item in train_items):
+    def prepare(sentence, lookup):
+        feats = sentence_features(sentence, use_emb, embeddings)
+        gold = [label_index.get(gold_label(t, task)) for t in sentence]
+        return None if None in gold else (_index_rows(lookup, feats), gold)
+
+    train_items = [prepare(sentence, register) for sentence in corpus]
+    if None in train_items:
         raise ValueError("training sentence with label outside the label set")
-    valid_items = [item for item in prepare(valid, register=False) if item is not None]
-
+    # every weight row belongs to a training feature, so the index is
+    # complete here and the weights are allocated once
+    valid_items = [prepare(sentence, feature_index.get) for sentence in valid]
+    valid_items = [item for item in valid_items if item is not None]
+    weights = np.zeros((len(feature_index), n_labels))
+    transitions = np.zeros((n_labels, n_labels))
     rng = np.random.default_rng(config.seed)
     n = len(train_items)
     order = np.arange(n)
-    decay = config.l2 / n if n else 0.0
+    decay = config.l2 / n
 
     best_valid = np.inf
-    best_params = state.snapshot()
-    best_features = dict(state.feature_index)
+    best_params = (weights.copy(), transitions.copy())
     epochs_since_best = 0
 
-    for epoch in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
         if config.shuffle:
             rng.shuffle(order)
         epoch_nll = 0.0
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            grad_rows = {}
-            grad_trans = np.zeros((state.n_labels, state.n_labels))
+            batch_rows, batch_gradients = [], []
+            grad_trans = np.zeros((n_labels, n_labels))
             for idx in batch:
-                indexed, gold_ids = train_items[idx]
-                nll, rows, trans = _sentence_nll_and_sparse_grad(state, indexed, gold_ids)
+                csr, gold_ids = train_items[idx]
+                nll, entry_gradients, trans = _nll_and_entry_gradients(
+                    weights, transitions, csr, gold_ids
+                )
                 epoch_nll += nll
                 grad_trans += trans
-                for row, vec in rows.items():
-                    existing = grad_rows.get(row)
-                    if existing is None:
-                        grad_rows[row] = vec.copy()
-                    else:
-                        existing += vec
+                batch_rows.append(csr[0])
+                batch_gradients.append(entry_gradients)
+            rows, grad_rows = _sum_rows(
+                np.concatenate(batch_rows), np.concatenate(batch_gradients)
+            )
             scale = config.learning_rate / len(batch)
             if decay:
                 factor = 1.0 - config.learning_rate * decay
-                state.matrix[: state.n_features] *= factor
-                state.transitions *= factor
-            for row, vec in grad_rows.items():
-                state.matrix[row] -= scale * vec
-            state.transitions -= scale * grad_trans
+                weights *= factor
+                transitions *= factor
+            weights[rows] -= scale * grad_rows
+            transitions -= scale * grad_trans
 
+        train_loss = epoch_nll / n
         if valid_items:
-            valid_nll = sum(
-                _sentence_nll(state, indexed, gold) for indexed, gold in valid_items
+            valid_loss = sum(
+                chain.sequence_nll(_scores(weights, csr, len(gold)), transitions, gold)
+                for csr, gold in valid_items
             ) / len(valid_items)
         else:
-            valid_nll = epoch_nll / n
+            valid_loss = train_loss
         if log is not None:
             log.append(
                 {
-                    "epoch": epoch + 1,
-                    "train_nll": epoch_nll / n,
-                    "valid_nll": valid_nll,
+                    "epoch": epoch,
+                    "train_loss": train_loss,
+                    "valid_loss": valid_loss,
                     "seconds": time.perf_counter() - started,
                 }
             )
-        if valid_nll < best_valid:
-            best_valid = valid_nll
-            best_params = state.snapshot()
-            best_features = dict(state.feature_index)
+        check_finite_losses(epoch, train_loss, valid_loss)
+        if valid_loss < best_valid:
+            best_valid = valid_loss
+            best_params = (weights.copy(), transitions.copy())
             epochs_since_best = 0
         else:
             epochs_since_best += 1
@@ -370,7 +306,7 @@ def train_crf(corpus, valid, config, task="single", embeddings=None, log=None):
     return CrfModel(
         labels=labels,
         task=task,
-        feature_index=best_features,
+        feature_index=feature_index,
         state_weights=weights,
         transitions=transitions,
         feature_config=FeatureConfig(use_embeddings=use_emb),
@@ -385,14 +321,10 @@ def train_crf(corpus, valid, config, task="single", embeddings=None, log=None):
 
 def tag_crf(model, sentence, embeddings=None):
     """Viterbi-decode one sentence; joint models project labels to NER."""
-    if model.feature_config.use_embeddings and embeddings is None:
-        raise ValueError("this model was trained with embedding features")
-    features = sentence_features(
-        sentence, model.feature_config.use_embeddings, embeddings
-    )
-    scores = emissions(model, sentence, features)
-    path, _ = chain.viterbi(scores, model.transitions)
-    return [project_ner(model.labels[i], model.task) for i in path]
+    return [
+        project_ner(label, model.task)
+        for label in tag_crf_full(model, sentence, embeddings)
+    ]
 
 
 def tag_crf_full(model, sentence, embeddings=None):

@@ -7,7 +7,6 @@ precision with hand-written reverse-mode gradients.
 
 from seqtag.neural.adam import AdamState, adam_step, adam_step_rows
 from seqtag.neural.heads import (
-    apply_dropout,
     crf_head_loss,
     joint_loss,
     softmax_head_loss,
@@ -37,7 +36,6 @@ __all__ = [
     "Prediction",
     "adam_step",
     "adam_step_rows",
-    "apply_dropout",
     "batch_loss_and_gradients",
     "bilstm_encode",
     "build_tagger",

@@ -7,17 +7,6 @@ import numpy as np
 from seqtag import chain
 
 
-def apply_dropout(x, rate, training, rng):
-    """Inverted dropout: zero with probability rate, scale survivors by
-    1/(1-rate) during training; identity at evaluation time."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError("rate must be in [0, 1)")
-    if not training or rate == 0.0:
-        return x
-    mask = rng.random(x.shape) >= rate
-    return x * mask / (1.0 - rate)
-
-
 def dropout_mask(shape, rate, rng):
     """Pre-scaled mask so forward and backward share the exact factors."""
     return (rng.random(shape) >= rate) / (1.0 - rate)
@@ -57,22 +46,12 @@ def crf_head_loss(scores, transitions, gold):
     gold = list(gold)
     if min(gold) < 0 or max(gold) >= n_labels:
         raise ValueError("gold index out of range")
-    return chain.log_partition(scores, transitions) - chain.path_score(
-        scores, transitions, gold
-    )
+    return chain.sequence_nll(scores, transitions, gold)
 
 
 def crf_head_backward(scores, transitions, gold):
     """Gradients of crf_head_loss on the score matrix and transitions."""
-    n_steps, n_labels = scores.shape
-    node, edge = chain.marginals(scores, transitions)
-    d_scores = node
-    for t, y in enumerate(gold):
-        d_scores[t, y] -= 1.0
-    d_trans = edge.sum(axis=0) if edge.shape[0] else np.zeros((n_labels, n_labels))
-    for t in range(1, n_steps):
-        d_trans[gold[t - 1], gold[t]] -= 1.0
-    return d_scores, d_trans
+    return chain.nll_gradients(scores, transitions, gold)
 
 
 def joint_loss(ner_loss, pos_loss, weight=1.0):

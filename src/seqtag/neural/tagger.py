@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from seqtag import chain
+from seqtag import chain, check_finite_losses
 from seqtag.corpus import NER_LABELS, POS_TAGS
 from seqtag.embeddings import EmbeddingConfig, init_random, ngram_bucket_ids
 from seqtag.neural.adam import AdamState, adam_step, adam_step_rows
@@ -428,6 +428,8 @@ def train_neural(train, valid, arch, config, embeddings=None,
     modes deep-copy the given table so the caller's stays untouched.
     Early stopping watches the validation loss (combined loss for joint
     runs) and the best epoch's parameters are restored before returning.
+    Raises NonFiniteLossError when an epoch's training or validation
+    loss is not finite.
     """
     if len(train) == 0:
         raise ValueError("empty training corpus")
@@ -519,6 +521,7 @@ def train_neural(train, valid, arch, config, embeddings=None,
                 "seconds": time.perf_counter() - started,
             }
         )
+        check_finite_losses(epoch, train_loss, valid_loss)
         if valid_loss < best_valid:
             best_valid = valid_loss
             best_snap = _snapshot(model)

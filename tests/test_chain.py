@@ -3,8 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from seqtag.chain import log_partition, marginals, path_score, viterbi
+from seqtag.chain import (
+    log_partition,
+    marginals,
+    nll_gradients,
+    path_score,
+    sequence_nll,
+    viterbi,
+)
 
 # ---------------------------------------------------------------------------
 # brute-force oracles: explicit enumeration over all L^T paths
@@ -45,6 +54,21 @@ def brute_marginals(emissions, transitions):
         for t in range(n_steps - 1):
             edge[t, path[t], path[t + 1]] += p
     return node, edge
+
+
+def brute_expected_counts(emissions, transitions):
+    """Expected label counts per position and expected transition counts."""
+    n_steps, n_labels = emissions.shape
+    log_z = brute_log_partition(emissions, transitions)
+    node = np.zeros((n_steps, n_labels))
+    trans = np.zeros((n_labels, n_labels))
+    for path, score in enumerate_path_scores(emissions, transitions):
+        p = math.exp(score - log_z)
+        for t, y in enumerate(path):
+            node[t, y] += p
+        for t in range(1, n_steps):
+            trans[path[t - 1], path[t]] += p
+    return node, trans
 
 
 def random_instance(rng, max_steps=5, max_labels=4):
@@ -176,3 +200,43 @@ def test_gold_path_probability_in_unit_interval():
             - log_partition(emissions, transitions)
         )
         assert 0.0 < prob <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# training objective: expected minus empirical counts
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_labels=st.integers(2, 3),
+    gold=st.lists(st.integers(0, 2), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_labels=3, gold=[2], seed=0)  # T = 1: no transitions
+@example(n_labels=2, gold=[1, 1, 1, 1, 1], seed=1)  # one bigram four times
+@example(n_labels=2, gold=[0, 1, 0, 1, 0], seed=2)  # two bigrams twice each
+def test_nll_gradients_match_enumerated_counts(n_labels, gold, seed):
+    gold = [g % n_labels for g in gold]
+    rng = np.random.default_rng(seed)
+    emissions = rng.uniform(-2, 2, size=(len(gold), n_labels))
+    transitions = rng.uniform(-2, 2, size=(n_labels, n_labels))
+    expected_node, expected_trans = brute_expected_counts(emissions, transitions)
+    gold_node = np.zeros_like(emissions)
+    gold_trans = np.zeros_like(transitions)
+    for t, y in enumerate(gold):
+        gold_node[t, y] += 1.0
+    for a, b in zip(gold, gold[1:]):
+        gold_trans[a, b] += 1.0
+
+    d_emissions, d_transitions = nll_gradients(emissions, transitions, gold)
+    np.testing.assert_allclose(d_emissions, expected_node - gold_node, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(d_transitions, expected_trans - gold_trans, rtol=0, atol=1e-10)
+    gold_score = dict(enumerate_path_scores(emissions, transitions))[tuple(gold)]
+    assert sequence_nll(emissions, transitions, gold) == pytest.approx(
+        brute_log_partition(emissions, transitions) - gold_score, abs=1e-10
+    )
+
+
+def test_nll_gradients_reject_gold_length_mismatch():
+    with pytest.raises(ValueError):
+        nll_gradients(np.zeros((3, 2)), np.zeros((2, 2)), [0, 1])

@@ -250,6 +250,16 @@ def test_corrupt_model_file(tmp_path, sample_file, capsys):
     assert "not a model file" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_non_finite_loss_is_data_error(tmp_path, capsys):
+    train = write_corpus(tmp_path, make_corpus(10, seed=1), "train.conll")
+    model_out = tmp_path / "model.bin"
+    config = crf_config(tmp_path, train, model_out, learning_rate=1e300, epochs=3)
+    assert main(["train", str(config)]) == 1
+    assert "loss is not finite" in capsys.readouterr().err
+    assert not model_out.exists()
+
+
 def test_train_determinism_byte_identical(tmp_path, capsys):
     corpus = make_corpus(10, seed=32)
     train = write_corpus(tmp_path, corpus, "train.conll")

@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from synthgen import make_corpus
 
+from seqtag import NonFiniteLossError
 from seqtag.corpus import NER_LABELS, NerLabel, Sentence, Token, parse_conll
 from seqtag.crf import (
     CrfModel,
     CrfTrainConfig,
     FeatureConfig,
     emissions,
+    gold_label,
     joint_task_labels,
     nll_and_gradient,
     single_task_labels,
@@ -79,18 +83,36 @@ def test_emissions_single_feature_single_label():
     np.testing.assert_array_equal(scores, [[2.0, 0.0], [0.0, 0.0]])
 
 
-def test_emissions_match_brute_force_double_loop():
-    rng = np.random.default_rng(1)
+def reference_emissions(model, features):
+    scores = np.zeros((len(features), model.n_labels))
+    for t, feats in enumerate(features):
+        for y in range(model.n_labels):
+            for key, value in feats.items():
+                row = model.feature_index.get(key)
+                if row is not None:
+                    scores[t, y] += model.state_weights[row, y] * value
+    return scores
+
+
+# f0..f19 have weight rows; "u0" and "u1" do not, so some tokens have no
+# known feature at all (an empty CSR segment)
+@settings(max_examples=80, deadline=None)
+@given(
+    token_keys=st.lists(
+        st.lists(st.sampled_from(["f0", "f3", "f7", "f19", "u0", "u1"]), unique=True),
+        min_size=1,
+        max_size=7,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_emissions_match_brute_force_double_loop(token_keys, seed):
+    rng = np.random.default_rng(seed)
     model = toy_model(rng)
-    sent = dummy_sentence(3)
-    feats = toy_features(rng, 3)
-    scores = emissions(model, sent, feats)
-    for t in range(3):
-        for y, label in enumerate(model.labels):
-            expected = sum(
-                model.state_weight(k, label) * v for k, v in feats[t].items()
-            )
-            assert scores[t, y] == pytest.approx(expected, abs=1e-12)
+    features = [{key: float(rng.uniform(-2, 2)) for key in keys} for keys in token_keys]
+    scores = emissions(model, dummy_sentence(len(features)), features)
+    np.testing.assert_allclose(
+        scores, reference_emissions(model, features), rtol=0, atol=1e-12
+    )
 
 
 def test_emissions_ignores_unknown_features():
@@ -181,6 +203,15 @@ def test_gradient_only_covers_sentence_features():
     feats = [{"f0": 1.0}, {"f1": 1.0}]
     _, (grad_map, _) = nll_and_gradient(model, sent, ["L0", "L1"], features=feats)
     assert set(grad_map) == {"f0", "f1"}
+
+
+def test_gradient_has_no_entry_for_keys_without_a_row():
+    rng = np.random.default_rng(8)
+    model = toy_model(rng)
+    sent = dummy_sentence(2)
+    feats = [{"f0": 1.0, "never-seen": 2.0}, {"never-seen": 1.0}]
+    _, (grad_map, _) = nll_and_gradient(model, sent, ["L0", "L1"], features=feats)
+    assert set(grad_map) == {"f0"}
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +324,57 @@ def test_early_stopping_respects_patience():
     config = small_config(epochs=50, patience=2, learning_rate=0.5, l2=0.0)
     train_crf(train, valid, config, log=log)
     assert len(log) < 50  # stopped early
-    best = min(r["valid_nll"] for r in log)
-    after_best = [r["valid_nll"] for r in log[::-1][:2]]
+    best = min(r["valid_loss"] for r in log)
+    after_best = [r["valid_loss"] for r in log[::-1][:2]]
     assert all(v >= best for v in after_best)
+
+
+@pytest.mark.parametrize("l2", [0.0, 0.5])
+def test_train_crf_steps_follow_nll_and_gradient(l2):
+    # two mini-batches of one epoch, replayed by hand from nll_and_gradient:
+    # the trainer descends exactly the gradient the finite-difference
+    # checks cover
+    corpus = make_corpus(6, seed=13)
+    learning_rate, batch_size = 0.3, 3
+    config = CrfTrainConfig(
+        l2=l2, learning_rate=learning_rate, epochs=1, patience=1,
+        batch_size=batch_size, shuffle=False,
+    )
+    trained = train_crf(corpus, corpus, config, task="joint")
+
+    hand = CrfModel(
+        labels=trained.labels,
+        task="joint",
+        feature_index=trained.feature_index,
+        state_weights=np.zeros_like(trained.state_weights),
+        transitions=np.zeros_like(trained.transitions),
+    )
+    sentences = corpus.sentences
+    golds = [[gold_label(t, "joint") for t in s] for s in sentences]
+    factor = 1.0 - learning_rate * l2 / len(sentences)
+    for start in range(0, len(sentences), batch_size):
+        batch = range(start, min(start + batch_size, len(sentences)))
+        grads = [nll_and_gradient(hand, sentences[i], golds[i])[1] for i in batch]
+        hand.state_weights *= factor
+        hand.transitions *= factor
+        scale = learning_rate / len(batch)
+        for grad_map, grad_trans in grads:
+            for key, grad in grad_map.items():
+                hand.state_weights[hand.feature_index[key]] -= scale * grad
+            hand.transitions -= scale * grad_trans
+
+    np.testing.assert_allclose(trained.state_weights, hand.state_weights, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(trained.transitions, hand.transitions, rtol=0, atol=1e-12)
+    valid_nll = np.mean([nll_and_gradient(hand, s, g)[0] for s, g in zip(sentences, golds)])
+    assert trained.trained_on["best_valid_nll"] == pytest.approx(valid_nll, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_loss_raises():
+    # the weights overflow in the first epoch; the validation loss is NaN
+    corpus = make_corpus(10, seed=1)
+    config = CrfTrainConfig(learning_rate=1e300, epochs=3, patience=3)
+    log = []
+    with pytest.raises(NonFiniteLossError, match="epoch 1"):
+        train_crf(corpus, corpus, config, log=log)
+    assert len(log) == 1

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from synthgen import make_corpus
 
+from seqtag.cli import main
 from seqtag.crf import CrfTrainConfig, tag_crf, train_crf
 from seqtag.embeddings import EmbeddingConfig, init_random
 from seqtag.modelfile import (
@@ -159,3 +160,25 @@ def test_invalid_utf8_kind_rejected(tmp_path, crf_model):
     path.write_bytes(bytes(data))
     with pytest.raises(ModelFileError, match="model kind is not valid UTF-8"):
         load_model(path)
+
+
+@pytest.mark.parametrize(
+    "original,broken",
+    [
+        (b'{"kind": "crf"', b'x"kind": "crf"'),  # meta is not JSON
+        (b'"kind"', b'"kine"'),  # meta has no kind
+        (b"\x0b\x00\x00\x00transitions", b"\x0b\x00\x00\x00transitionz"),  # no weights
+    ],
+    ids=["meta-not-json", "meta-without-kind", "missing-transitions"],
+)
+def test_malformed_blocks_rejected(tmp_path, crf_model, capsys, original, broken):
+    path = tmp_path / "broken.bin"
+    data = save_model(crf_model, path, "crf")
+    assert data.count(original) == 1
+    path.write_bytes(data.replace(original, broken))
+    with pytest.raises(ModelFileError, match="malformed model blocks"):
+        load_model(path)
+    sentences = tmp_path / "in.txt"
+    sentences.write_text("Ada\nruns\n", encoding="utf-8")
+    assert main(["tag", str(path), str(sentences)]) == 1
+    assert "malformed model blocks" in capsys.readouterr().err

@@ -3,15 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from seqtag.embeddings import EmbeddingConfig, init_random
 from seqtag.neural import (
+    Architecture,
     LstmParams,
-    apply_dropout,
     bilstm_encode,
+    build_tagger,
     crf_head_loss,
     joint_loss,
     lstm_cell,
+    sentence_loss,
     softmax_head_loss,
 )
+from seqtag.neural.heads import dropout_mask
 
 
 def zero_params(d, h):
@@ -132,22 +136,28 @@ def test_bilstm_rejects_empty():
 # dropout
 
 
-def test_dropout_identity_in_eval():
-    x = np.ones((5, 4))
-    out = apply_dropout(x, 0.5, training=False, rng=np.random.default_rng(0))
-    np.testing.assert_array_equal(out, x)
+def test_dropout_identity_in_eval(sample_sentence):
+    rng = np.random.default_rng(0)
+    table = init_random(
+        list(sample_sentence.surfaces), EmbeddingConfig(dim=6, bucket_count=16, seed=0)
+    )
+    model = build_tagger(Architecture("softmax", "single", "random"), table, 4, rng, 0.5)
+    head = model.heads["ner"]
+    head.weight[...] = rng.uniform(-1, 1, size=head.weight.shape)
+    with_dropout = sentence_loss(model, sample_sentence)
+    model.dropout_rate = 0.0
+    assert sentence_loss(model, sample_sentence) == with_dropout
 
 
 def test_dropout_rate_zero_identity():
-    x = np.ones((5, 4))
-    out = apply_dropout(x, 0.0, training=True, rng=np.random.default_rng(0))
-    np.testing.assert_array_equal(out, x)
+    mask = dropout_mask((5, 4), 0.0, np.random.default_rng(0))
+    np.testing.assert_array_equal(mask, np.ones((5, 4)))
 
 
 def test_dropout_mean_preserved_within_three_sigma():
     n = 1_000_000
     x = np.ones(n)
-    out = apply_dropout(x, 0.5, training=True, rng=np.random.default_rng(42))
+    out = x * dropout_mask(x.shape, 0.5, np.random.default_rng(42))
     # survivors are Bernoulli(0.5) scaled by 2: mean 1, var 1 -> sigma of
     # the sample mean is 1/sqrt(n)
     assert abs(out.mean() - 1.0) <= 3 / math.sqrt(n)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from synthgen import make_corpus
 
+from seqtag import NonFiniteLossError
 from seqtag.corpus import NER_LABELS, OUTSIDE, NerLabel, Sentence, Token, parse_conll
 from seqtag.embeddings import EmbeddingConfig, init_random
 from seqtag.neural import (
@@ -276,3 +277,19 @@ def test_log_format():
     assert len(lines) == len(log)
     assert lines[0].startswith("epoch=1 train_loss=")
     assert "valid_loss=" in lines[0] and "seconds=" in lines[0]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("inference", ["softmax", "crf"])
+def test_non_finite_loss_raises(inference):
+    # Adam moves every weight by about the learning rate, so the encoder
+    # overflows and the validation loss is NaN
+    corpus = make_corpus(6, seed=1)
+    log = []
+    with pytest.raises(NonFiniteLossError, match="not finite"):
+        train_neural(
+            corpus, corpus, Architecture(inference, "single", "random"),
+            small_config(learning_rate=1e300, max_epochs=3, patience=3, hidden_size=4),
+            embedding_config=small_emb_config(), log=log,
+        )
+    assert not all(math.isfinite(r["valid_loss"]) for r in log)

@@ -7,6 +7,8 @@ word embeddings, BIOES corpus tools, and token-level evaluation.
 
 import math
 
+import numpy as np
+
 __version__ = "0.1.0"
 
 
@@ -21,3 +23,12 @@ def check_finite_losses(epoch, train_loss, valid_loss):
             f"epoch {epoch}: loss is not finite (training {train_loss}, "
             f"validation {valid_loss})"
         )
+
+
+def sum_rows(rows, entry_gradients):
+    """Entry gradients summed per row: (distinct rows, ascending; sums).
+    Entries of one row are added in their given order."""
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    return rows[starts], np.add.reduceat(entry_gradients[order], starts)

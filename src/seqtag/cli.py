@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from seqtag import NonFiniteLossError, metrics
 from seqtag.config import ConfigError, echo_config, parse_config
 from seqtag.corpus import (
@@ -178,41 +180,44 @@ def cmd_train(args):
         _log(f"error: {exc}")
         return EXIT_DATA
 
-    if config.model == "crf":
-        crf_config = CrfTrainConfig(
-            l2=config.l2,
-            learning_rate=config.learning_rate,
-            epochs=config.epochs,
-            patience=config.patience,
-            batch_size=config.batch_size,
-            seed=config.seed,
-            shuffle=config.shuffle,
-        )
-        records = []
-        model = train_crf(
-            train, valid, crf_config, task=config.task, embeddings=embeddings,
-            log=records,
-        )
-    else:
-        neural_config = NeuralTrainConfig(
-            learning_rate=config.learning_rate,
-            beta1=config.beta1,
-            beta2=config.beta2,
-            epsilon=config.epsilon,
-            batch_size=config.batch_size,
-            max_epochs=config.epochs,
-            patience=config.patience,
-            joint_loss_weight=config.joint_loss_weight,
-            dropout=config.dropout,
-            seed=config.seed,
-            hidden_size=config.hidden_size,
-        )
-        arch = Architecture(config.inference, config.task, config.embedding_mode)
-        model, records = train_neural(
-            train, valid, arch, neural_config,
-            embeddings=embeddings,
-            embedding_config=_embedding_config(config),
-        )
+    # overflow on the way to a non-finite loss is reported once, by
+    # check_finite_losses, not as numpy warnings before it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if config.model == "crf":
+            crf_config = CrfTrainConfig(
+                l2=config.l2,
+                learning_rate=config.learning_rate,
+                epochs=config.epochs,
+                patience=config.patience,
+                batch_size=config.batch_size,
+                seed=config.seed,
+                shuffle=config.shuffle,
+            )
+            records = []
+            model = train_crf(
+                train, valid, crf_config, task=config.task, embeddings=embeddings,
+                log=records,
+            )
+        else:
+            neural_config = NeuralTrainConfig(
+                learning_rate=config.learning_rate,
+                beta1=config.beta1,
+                beta2=config.beta2,
+                epsilon=config.epsilon,
+                batch_size=config.batch_size,
+                max_epochs=config.epochs,
+                patience=config.patience,
+                joint_loss_weight=config.joint_loss_weight,
+                dropout=config.dropout,
+                seed=config.seed,
+                hidden_size=config.hidden_size,
+            )
+            arch = Architecture(config.inference, config.task, config.embedding_mode)
+            model, records = train_neural(
+                train, valid, arch, neural_config,
+                embeddings=embeddings,
+                embedding_config=_embedding_config(config),
+            )
 
     log_lines = format_training_log(records)
     for line in log_lines:

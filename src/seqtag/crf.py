@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from seqtag import chain, check_finite_losses
+from seqtag import chain, check_finite_losses, sum_rows
 from seqtag.corpus import NER_LABELS, POS_TAGS
 from seqtag.features import sentence_features
 
@@ -75,6 +75,10 @@ class CrfModel:
 
     def __post_init__(self):
         self._label_index = {label: i for i, label in enumerate(self.labels)}
+        n_labels = len(self.labels)
+        if (self.state_weights.shape != (len(self.feature_index), n_labels)
+                or self.transitions.shape != (n_labels, n_labels)):
+            raise ValueError("weight shapes do not match the features and labels")
 
     @property
     def n_labels(self):
@@ -146,14 +150,6 @@ def _nll_and_entry_gradients(weights, transitions, csr, gold_ids):
     return nll, values[:, None] * d_scores[positions], d_transitions
 
 
-def _sum_rows(rows, entry_gradients):
-    """Entry gradients summed per weight row: (distinct rows, sums)."""
-    order = np.argsort(rows, kind="stable")
-    rows = rows[order]
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    return rows[starts], np.add.reduceat(entry_gradients[order], starts)
-
-
 def emissions(model, sentence, features):
     """Score matrix (T, L): entry (t, y) sums weight * value over the
     features present at t."""
@@ -185,7 +181,7 @@ def nll_and_gradient(model, sentence, gold, l2=0.0, features=None, embeddings=No
         model.state_weights, model.transitions, csr, gold_ids
     )
     keys = {index[key]: key for feats in features for key in feats if key in index}
-    grad_map = {keys[row]: grad for row, grad in zip(*_sum_rows(csr[0], entry_gradients))}
+    grad_map = {keys[row]: grad for row, grad in zip(*sum_rows(csr[0], entry_gradients))}
 
     if l2 > 0.0:
         nll += 0.5 * l2 * (
@@ -264,7 +260,7 @@ def train_crf(corpus, valid, config, task="single", embeddings=None, log=None):
                 grad_trans += trans
                 batch_rows.append(csr[0])
                 batch_gradients.append(entry_gradients)
-            rows, grad_rows = _sum_rows(
+            rows, grad_rows = sum_rows(
                 np.concatenate(batch_rows), np.concatenate(batch_gradients)
             )
             scale = config.learning_rate / len(batch)

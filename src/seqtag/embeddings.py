@@ -131,23 +131,26 @@ def ngram_bucket_ids(table, word):
     ]
 
 
-def embed(table, word):
-    """Compose the vector for a word; always returns a fresh array.
-
-    In-vocab with subword on: mean of the lexical row and every bucket
-    row. In-vocab with subword off: the lexical row. OOV: mean of bucket
-    rows, or the UNK vector when there are none to use.
-    """
-    idx = table.vocab.get(word)
-    buckets = ngram_bucket_ids(table, word)
+def compose(table, idx, buckets):
+    """A word's vector from its vocabulary row idx (None when OOV) and its
+    bucket rows: in-vocab, the mean of the lexical row and every bucket
+    row; OOV, the mean of the bucket rows, or the UNK vector when there
+    are none. It may be a view of a table row. Its gradient reaches each
+    averaged row divided by (idx is not None) + len(buckets), and the
+    UNK vector undivided."""
     if idx is not None:
         if not buckets:
-            return table.word_vectors[idx].copy()
+            return table.word_vectors[idx]
         total = table.word_vectors[idx] + table.ngram_buckets[buckets].sum(axis=0)
         return total / (1 + len(buckets))
     if buckets:
         return table.ngram_buckets[buckets].sum(axis=0) / len(buckets)
-    return table.unk_vector.copy()
+    return table.unk_vector
+
+
+def embed(table, word):
+    """Compose the vector for a word; always returns a fresh array."""
+    return compose(table, table.vocab.get(word), ngram_bucket_ids(table, word)).copy()
 
 
 def load_text_vectors(lines, config, name_hint=""):

@@ -315,12 +315,13 @@ def load_model(path):
             raise ModelFileError(f"{path}: trailing bytes after the last block")
     if "meta" not in blocks:
         raise ModelFileError(f"{path}: no meta block")
-    # a missing block or field, a wrong type or meta that is not JSON: malformed
+    # a missing block or field, a wrong type or shape or meta that is not
+    # JSON: malformed
     try:
         if json.loads(blocks["meta"])["kind"] == "crf":
             model, table = _crf_from_blocks(blocks)
         else:
             model, table = _neural_from_blocks(blocks)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelFileError(f"{path}: malformed model blocks ({exc!r})") from exc
     return model, kind, snapshot, table

@@ -52,15 +52,12 @@ def adam_step(params, grads, state, learning_rate=0.001, beta1=0.9, beta2=0.999,
     return params, state
 
 
-def adam_step_rows(matrix, row_grads, state, name, learning_rate=0.001,
+def adam_step_rows(matrix, rows, grad, state, name, learning_rate=0.001,
                    beta1=0.9, beta2=0.999, epsilon=1e-8):
-    """Adam on selected rows of a matrix; untouched rows do not move."""
-    if not row_grads:
-        return
+    """Adam on distinct rows of a matrix, given their stacked gradients;
+    untouched rows do not move."""
     m, v = state.slot(name, matrix)
     t = state.t
-    rows = np.fromiter(row_grads, dtype=np.intp, count=len(row_grads))
-    grad = np.stack(list(row_grads.values()))
     m_rows = m[rows] * beta1 + (1.0 - beta1) * grad
     v_rows = v[rows] * beta2 + (1.0 - beta2) * grad**2
     m[rows] = m_rows

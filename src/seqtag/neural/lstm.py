@@ -40,12 +40,6 @@ class LstmParams:
     def input_size(self):
         return self.W.shape[1]
 
-    def gate(self, name):
-        """View of one gate's input weights: 'i', 'f', 'o' or 'g'."""
-        h = self.hidden_size
-        offset = "ifog".index(name) * h
-        return self.W[offset : offset + h]
-
     @classmethod
     def init(cls, input_size, hidden_size, rng):
         """Uniform gate weights in [-1/sqrt(H), 1/sqrt(H)]; forget-gate
@@ -56,9 +50,6 @@ class LstmParams:
         b = np.zeros(4 * hidden_size)
         b[hidden_size : 2 * hidden_size] = 1.0
         return cls(w, u, b)
-
-    def copy(self):
-        return LstmParams(self.W.copy(), self.U.copy(), self.b.copy())
 
 
 def lstm_cell(x, h_prev, c_prev, params):

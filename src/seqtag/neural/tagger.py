@@ -2,9 +2,13 @@
 
 One shared encoder feeds one head per task ("ner", plus "pos" for joint
 runs); each head is an independent projection ending in softmax or CRF
-inference. Per-sentence forward/backward passes are accumulated over a
-mini-batch (no padding), optimized with Adam, early-stopped on
-validation loss, and the best epoch's parameters are restored.
+inference. Training, validation and tagging run one sentence path,
+_encode: lookup, embeddings.compose, dropout and both LSTM scans.
+Per-sentence forward/backward passes are accumulated over a mini-batch
+(no padding); embedding gradients are (row, gradient) entry arrays per
+use of a row, summed per row once per batch. Parameters are optimized
+with Adam, training is early-stopped on validation loss, and the best
+epoch's parameters are restored.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from seqtag import chain, check_finite_losses
+from seqtag import chain, check_finite_losses, sum_rows
 from seqtag.corpus import NER_LABELS, POS_TAGS
-from seqtag.embeddings import EmbeddingConfig, init_random, ngram_bucket_ids
+from seqtag.embeddings import EmbeddingConfig, compose, init_random, ngram_bucket_ids
 from seqtag.neural.adam import AdamState, adam_step, adam_step_rows
 from seqtag.neural.heads import (
     crf_head_backward,
@@ -75,30 +79,6 @@ class NeuralTrainConfig:
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
 
-    def resolved_batch_size(self, embedding_mode):
-        default = 32 if embedding_mode == "random" else 64
-        if self.batch_size is None:
-            return default
-        if self.batch_size != default:
-            warnings.warn(
-                f"batch_size {self.batch_size} deviates from the {default} "
-                f"default for {embedding_mode} embeddings",
-                stacklevel=2,
-            )
-        return self.batch_size
-
-    def resolved_hidden_size(self, embedding_mode):
-        default = 128 if embedding_mode == "random" else 256
-        if self.hidden_size is None:
-            return default
-        if self.hidden_size != default:
-            warnings.warn(
-                f"hidden_size {self.hidden_size} deviates from the {default} "
-                f"default for {embedding_mode} embeddings",
-                stacklevel=2,
-            )
-        return self.hidden_size
-
 
 @dataclass
 class Head:
@@ -107,6 +87,13 @@ class Head:
     bias: np.ndarray          # (K,)
     transitions: np.ndarray | None
     labels: list
+
+    def __post_init__(self):
+        k = len(self.labels)
+        trans_shape = None if self.transitions is None else self.transitions.shape
+        if (self.weight.ndim != 2 or self.weight.shape[0] != k or self.bias.shape != (k,)
+                or trans_shape not in (None, (k, k))):
+            raise ValueError("head weight, bias or transitions do not match its labels")
 
     def scores(self, encoded):
         return encoded @ self.weight.T + self.bias
@@ -127,6 +114,15 @@ class NeuralTagger:
     hidden_size: int
     dropout_rate: float = 0.5
     trained_on: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        sizes = (self.embedding.dim, self.hidden_size)
+        for lstm in (self.forward_lstm, self.backward_lstm):
+            if (lstm.input_size, lstm.hidden_size) != sizes:
+                raise ValueError("LSTM sizes do not match the embedding dim and hidden size")
+        for head in self.heads.values():
+            if head.weight.shape[1] != 2 * self.hidden_size:
+                raise ValueError("head weight does not match the hidden size")
 
     @property
     def task(self):
@@ -180,7 +176,7 @@ def _build_head(kind, labels, hidden_size):
 
 
 # ---------------------------------------------------------------------------
-# embedding lookups with backward bookkeeping
+# the sentence path: lookup, composition, dropout and the two scans
 
 
 def _lookup(table, word, cache):
@@ -191,56 +187,45 @@ def _lookup(table, word, cache):
     return info
 
 
-def _compose(table, idx, buckets):
-    """Vector plus the denominator the gradient must be divided by
-    (0 marks the UNK fallback)."""
-    if idx is not None:
-        if not buckets:
-            return table.word_vectors[idx], 1
-        denom = 1 + len(buckets)
-        return (
-            (table.word_vectors[idx] + table.ngram_buckets[buckets].sum(axis=0))
-            / denom,
-            denom,
-        )
-    if buckets:
-        return table.ngram_buckets[buckets].sum(axis=0) / len(buckets), len(buckets)
-    return table.unk_vector, 0
+def _dropout(array, rate, rng):
+    if rate == 0.0:
+        return array, None
+    mask = dropout_mask(array.shape, rate, rng)
+    return array * mask, mask
 
 
-class _EmbeddingGrads:
-    def __init__(self):
-        self.words = {}
-        self.buckets = {}
-        self.unk = None
+def _encode(model, sentence, cache, rate, rng):
+    """Encoded states (T, 2H) of one sentence, with dropout at rate on the
+    composed inputs and then on the states; returns them with what BPTT
+    needs: the lookups, both masks (None at rate 0) and both scan caches."""
+    table = model.embedding
+    infos = [_lookup(table, token.surface, cache) for token in sentence]
+    xs, mask_e = _dropout(
+        np.stack([compose(table, idx, buckets) for idx, buckets in infos]), rate, rng
+    )
+    hs_f, cache_f = lstm_forward(xs, model.forward_lstm)
+    hs_b, cache_b = lstm_forward(xs[::-1], model.backward_lstm)
+    encoded, mask_h = _dropout(np.concatenate([hs_f, hs_b[::-1]], axis=1), rate, rng)
+    return encoded, (infos, mask_e, mask_h, cache_f, cache_b)
 
-    def add(self, idx, buckets, denom, dx):
-        if idx is not None:
-            share = dx / denom
-            self._bump(self.words, idx, share)
-            for b in buckets:
-                self._bump(self.buckets, b, share)
-        elif buckets:
-            share = dx / denom
-            for b in buckets:
-                self._bump(self.buckets, b, share)
-        else:
-            self.unk = dx.copy() if self.unk is None else self.unk + dx
 
-    @staticmethod
-    def _bump(store, key, value):
-        existing = store.get(key)
-        if existing is None:
-            store[key] = value.copy()
-        else:
-            existing += value
-
-    def scale(self, factor):
-        for store in (self.words, self.buckets):
-            for vec in store.values():
-                vec *= factor
-        if self.unk is not None:
-            self.unk *= factor
+def _row_entries(infos, dxs):
+    """Embedding row gradients of the tokens with lookups infos and input
+    gradients dxs, as {slot: (rows, grads)} with one entry per use of a
+    row: every row a token's vector averages gets dx / divisor, the UNK
+    row gets dx."""
+    in_vocab = np.array([idx is not None for idx, _ in infos])
+    counts = np.array([len(buckets) for _, buckets in infos], dtype=np.intp)
+    divisors = in_vocab + counts
+    shares = dxs / np.maximum(divisors, 1)[:, None]
+    unk = divisors == 0
+    words = [idx for idx, _ in infos if idx is not None]
+    buckets = [b for _, token_buckets in infos for b in token_buckets]
+    return {
+        "emb.words": (np.array(words, dtype=np.intp), shares[in_vocab]),
+        "emb.buckets": (np.array(buckets, dtype=np.intp), np.repeat(shares, counts, axis=0)),
+        "emb.unk": (np.zeros(np.count_nonzero(unk), dtype=np.intp), shares[unk]),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -256,37 +241,19 @@ def _gold_ids(sentence, task):
 
 def _sentence_pass(model, sentence, joint_weight, training, rng, cache,
                    compute_grads, gold=None):
-    """Loss (and gradients when asked) for one sentence."""
-    table = model.embedding
+    """Loss, and when asked the dense gradients and, for a trainable
+    table, (lookups, input gradients) of one sentence."""
     rate = model.dropout_rate if training else 0.0
-    infos = [_lookup(table, token.surface, cache) for token in sentence]
-    composed = [_compose(table, idx, buckets) for idx, buckets in infos]
-    xs = np.stack([vec for vec, _ in composed])
-
-    if rate > 0.0:
-        mask_e = dropout_mask(xs.shape, rate, rng)
-        xs_dropped = xs * mask_e
-    else:
-        mask_e = None
-        xs_dropped = xs
-
-    hs_f, cache_f = lstm_forward(xs_dropped, model.forward_lstm)
-    hs_b, cache_b = lstm_forward(xs_dropped[::-1], model.backward_lstm)
-    encoded = np.concatenate([hs_f, hs_b[::-1]], axis=1)
-
-    if rate > 0.0:
-        mask_h = dropout_mask(encoded.shape, rate, rng)
-        encoded_dropped = encoded * mask_h
-    else:
-        mask_h = None
-        encoded_dropped = encoded
+    encoded, (infos, mask_e, mask_h, cache_f, cache_b) = _encode(
+        model, sentence, cache, rate, rng
+    )
 
     if gold is None:
         gold = _gold_ids(sentence, model.task)
     losses = {}
     head_ctx = {}
     for name, head in model.heads.items():
-        scores = head.scores(encoded_dropped)
+        scores = head.scores(encoded)
         if head.kind == "softmax":
             losses[name], probs = softmax_head_loss(scores, gold[name])
             head_ctx[name] = (scores, probs)
@@ -302,7 +269,7 @@ def _sentence_pass(model, sentence, joint_weight, training, rng, cache,
         return total, None, None
 
     grads = {}
-    d_encoded = np.zeros_like(encoded_dropped)
+    d_encoded = np.zeros_like(encoded)
     for name, head in model.heads.items():
         scale = 1.0 if name == "ner" else joint_weight
         scores, probs = head_ctx[name]
@@ -312,7 +279,7 @@ def _sentence_pass(model, sentence, joint_weight, training, rng, cache,
             d_scores, d_trans = crf_head_backward(scores, head.transitions, gold[name])
             grads[f"head.{name}.transitions"] = scale * d_trans
         d_scores = scale * d_scores
-        grads[f"head.{name}.weight"] = d_scores.T @ encoded_dropped
+        grads[f"head.{name}.weight"] = d_scores.T @ encoded
         grads[f"head.{name}.bias"] = d_scores.sum(axis=0)
         d_encoded += d_scores @ head.weight
 
@@ -328,24 +295,22 @@ def _sentence_pass(model, sentence, joint_weight, training, rng, cache,
     for key, value in lstm_grads_b.items():
         grads[f"bwd.{key}"] = value
 
+    if not model.embedding.trainable:
+        return total, grads, None
     dxs = dxs_f + dxs_b_rev[::-1]
     if mask_e is not None:
         dxs = dxs * mask_e
-    emb_grads = None
-    if table.trainable:
-        emb_grads = _EmbeddingGrads()
-        for t, (idx, buckets) in enumerate(infos):
-            emb_grads.add(idx, buckets, composed[t][1], dxs[t])
-    return total, grads, emb_grads
+    return total, grads, (infos, dxs)
 
 
 def batch_loss_and_gradients(model, batch, joint_weight=1.0, training=False,
                              rng=None, cache=None, gold=None):
     """Mean loss over the batch and exact gradients for every trainable
-    parameter; embedding gradients are sparse over the touched rows and
-    absent in frozen mode. Dropout masks are drawn from rng only when
-    training. gold (one id dict per sentence) defaults to the tokens' own
-    labels."""
+    parameter. Embedding gradients are {slot: (distinct rows, gradient
+    rows)} for the non-empty slots among "emb.words", "emb.buckets" and
+    "emb.unk", and None in frozen mode. Dropout masks are drawn from rng
+    only when training. gold (one id dict per sentence) defaults to the
+    tokens' own labels."""
     if not batch:
         raise ValueError("empty batch")
     if training and model.dropout_rate > 0.0 and rng is None:
@@ -354,17 +319,11 @@ def batch_loss_and_gradients(model, batch, joint_weight=1.0, training=False,
         cache = {}
     total_loss = 0.0
     total_grads = {}
-    total_emb = _EmbeddingGrads() if model.embedding.trainable else None
+    infos, dxs = [], []
     for s_idx, sentence in enumerate(batch):
         loss, grads, emb = _sentence_pass(
-            model,
-            sentence,
-            joint_weight,
-            training,
-            rng,
-            cache,
-            compute_grads=True,
-            gold=None if gold is None else gold[s_idx],
+            model, sentence, joint_weight, training, rng, cache,
+            compute_grads=True, gold=None if gold is None else gold[s_idx],
         )
         total_loss += loss
         for name, grad in grads.items():
@@ -373,20 +332,19 @@ def batch_loss_and_gradients(model, batch, joint_weight=1.0, training=False,
             else:
                 total_grads[name] = grad
         if emb is not None:
-            for idx, vec in emb.words.items():
-                total_emb._bump(total_emb.words, idx, vec)
-            for idx, vec in emb.buckets.items():
-                total_emb._bump(total_emb.buckets, idx, vec)
-            if emb.unk is not None:
-                total_emb.unk = (
-                    emb.unk if total_emb.unk is None else total_emb.unk + emb.unk
-                )
+            infos.extend(emb[0])
+            dxs.append(emb[1])
     n = len(batch)
     for grad in total_grads.values():
         grad /= n
-    if total_emb is not None:
-        total_emb.scale(1.0 / n)
-    return total_loss / n, total_grads, total_emb
+    if not model.embedding.trainable:
+        return total_loss / n, total_grads, None
+    emb_grads = {}
+    for slot, (rows, entry_grads) in _row_entries(infos, np.concatenate(dxs)).items():
+        if len(rows):
+            rows, sums = sum_rows(rows, entry_grads)
+            emb_grads[slot] = (rows, sums * (1.0 / n))
+    return total_loss / n, total_grads, emb_grads
 
 
 def sentence_loss(model, sentence, joint_weight=1.0, gold=None):
@@ -399,6 +357,22 @@ def sentence_loss(model, sentence, joint_weight=1.0, gold=None):
 
 # ---------------------------------------------------------------------------
 # training
+
+
+def _resolved(config, name, embedding_mode, random_default, pretrained_default):
+    """A size field of the config, or its default for the embedding mode;
+    warns when a set value deviates from that default."""
+    default = random_default if embedding_mode == "random" else pretrained_default
+    value = getattr(config, name)
+    if value is None:
+        return default
+    if value != default:
+        warnings.warn(
+            f"{name} {value} deviates from the {default} default for "
+            f"{embedding_mode} embeddings",
+            stacklevel=2,
+        )
+    return value
 
 
 def _snapshot(model):
@@ -451,13 +425,24 @@ def train_neural(train, valid, arch, config, embeddings=None,
         table = copy.deepcopy(embeddings)
         table.mode = "frozen" if arch.embedding_mode == "frozen" else "finetuned"
 
-    hidden = config.resolved_hidden_size(arch.embedding_mode)
-    batch_size = config.resolved_batch_size(arch.embedding_mode)
+    hidden = _resolved(config, "hidden_size", arch.embedding_mode, 128, 256)
+    batch_size = _resolved(config, "batch_size", arch.embedding_mode, 32, 64)
     rng = np.random.default_rng(config.seed)
     model = build_tagger(arch, table, hidden, rng, dropout_rate=config.dropout)
 
     params = model.parameters()
+    emb_matrices = {
+        "emb.words": table.word_vectors,
+        "emb.buckets": table.ngram_buckets,
+        "emb.unk": table.unk_vector[None, :],
+    }
     adam = AdamState()
+    adam_settings = dict(
+        learning_rate=config.learning_rate,
+        beta1=config.beta1,
+        beta2=config.beta2,
+        epsilon=config.epsilon,
+    )
     lookup_cache = {}
     order = np.arange(len(train))
     sentences = list(train)
@@ -483,28 +468,9 @@ def train_neural(train, valid, arch, config, embeddings=None,
                 cache=lookup_cache,
             )
             epoch_loss += loss * len(batch)
-            adam_step(
-                params,
-                grads,
-                adam,
-                learning_rate=config.learning_rate,
-                beta1=config.beta1,
-                beta2=config.beta2,
-                epsilon=config.epsilon,
-            )
-            if emb_grads is not None:
-                kw = dict(
-                    learning_rate=config.learning_rate,
-                    beta1=config.beta1,
-                    beta2=config.beta2,
-                    epsilon=config.epsilon,
-                )
-                adam_step_rows(table.word_vectors, emb_grads.words, adam, "emb.words", **kw)
-                adam_step_rows(table.ngram_buckets, emb_grads.buckets, adam, "emb.buckets", **kw)
-                if emb_grads.unk is not None:
-                    adam_step_rows(
-                        table.unk_vector[None, :], {0: emb_grads.unk}, adam, "emb.unk", **kw
-                    )
+            adam_step(params, grads, adam, **adam_settings)
+            for slot, (rows, grad) in (emb_grads or {}).items():
+                adam_step_rows(emb_matrices[slot], rows, grad, adam, slot, **adam_settings)
         train_loss = epoch_loss / len(sentences)
         if valid_sentences:
             valid_loss = sum(
@@ -557,14 +523,7 @@ def format_training_log(records):
 
 def tag_neural(model, sentence):
     """Predict NER labels (and POS for joint models); dropout off."""
-    table = model.embedding
-    cache = {}
-    infos = [_lookup(table, token.surface, cache) for token in sentence]
-    xs = np.stack([_compose(table, idx, buckets)[0] for idx, buckets in infos])
-    hs_f, _ = lstm_forward(xs, model.forward_lstm)
-    hs_b, _ = lstm_forward(xs[::-1], model.backward_lstm)
-    encoded = np.concatenate([hs_f, hs_b[::-1]], axis=1)
-
+    encoded, _ = _encode(model, sentence, {}, 0.0, None)
     outputs = {}
     for name, head in model.heads.items():
         scores = head.scores(encoded)

@@ -215,11 +215,11 @@ def _neural_gradient_check(joint):
                 it.multi_index,
             )
     table = model.embedding
-    for row, vec in emb_grads.words.items():
+    for row, vec in zip(*emb_grads["emb.words"]):
         for k in range(table.dim):
             fd = _fd(loss, table.word_vectors, (row, k))
             assert vec[k] == pytest.approx(fd, rel=1e-4, abs=1e-8)
-    for row, vec in emb_grads.buckets.items():
+    for row, vec in zip(*emb_grads["emb.buckets"]):
         for k in range(table.dim):
             fd = _fd(loss, table.ngram_buckets, (row, k))
             assert vec[k] == pytest.approx(fd, rel=1e-4, abs=1e-8)

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 from synthgen import make_corpus
 
@@ -250,13 +252,18 @@ def test_corrupt_model_file(tmp_path, sample_file, capsys):
     assert "not a model file" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_non_finite_loss_is_data_error(tmp_path, capsys):
     train = write_corpus(tmp_path, make_corpus(10, seed=1), "train.conll")
     model_out = tmp_path / "model.bin"
     config = crf_config(tmp_path, train, model_out, learning_rate=1e300, epochs=3)
-    assert main(["train", str(config)]) == 1
-    assert "loss is not finite" in capsys.readouterr().err
+    # pytest records warnings instead of printing them, so record them here
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "loss is not finite" in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not model_out.exists()
 
 

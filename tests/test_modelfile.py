@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from synthgen import make_corpus
@@ -176,6 +178,52 @@ def test_malformed_blocks_rejected(tmp_path, crf_model, capsys, original, broken
     data = save_model(crf_model, path, "crf")
     assert data.count(original) == 1
     path.write_bytes(data.replace(original, broken))
+    with pytest.raises(ModelFileError, match="malformed model blocks"):
+        load_model(path)
+    sentences = tmp_path / "in.txt"
+    sentences.write_text("Ada\nruns\n", encoding="utf-8")
+    assert main(["tag", str(path), str(sentences)]) == 1
+    assert "malformed model blocks" in capsys.readouterr().err
+
+
+def _crf_weights(make_block):
+    def make(crf_model, corpus):
+        model = copy.copy(crf_model)
+        model.state_weights = make_block(crf_model.state_weights)
+        return model, "crf"
+
+    return make
+
+
+def _cut_head_weight(rows, cols):
+    def make(crf_model, corpus):
+        model = neural_model(corpus, "crf", "single")
+        head = model.heads["ner"]
+        head.weight = head.weight[:rows, :cols]
+        return model, "bilstm-crf"
+
+    return make
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _crf_weights(lambda weights: weights[:10]),
+        _crf_weights(lambda weights: ["not", "floats"]),  # a string-list block
+        _cut_head_weight(-1, None),
+        _cut_head_weight(None, -1),
+    ],
+    ids=[
+        "crf-state-weights-10-rows",
+        "crf-state-weights-strings",
+        "neural-head-weight-rows",
+        "neural-head-weight-cols",
+    ],
+)
+def test_inconsistent_block_shapes_rejected(tmp_path, crf_model, corpus, capsys, make):
+    model, kind = make(crf_model, corpus)
+    path = tmp_path / "shapes.bin"
+    save_model(model, path, kind)
     with pytest.raises(ModelFileError, match="malformed model blocks"):
         load_model(path)
     sentences = tmp_path / "in.txt"

@@ -1,10 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqtag import chain
 from seqtag.corpus import NER_LABELS, NerLabel, Sentence, Token
-from seqtag.embeddings import EmbeddingConfig, init_random, load_text_vectors
+from seqtag.embeddings import (
+    EmbeddingConfig,
+    embed,
+    init_random,
+    load_text_vectors,
+    ngram_bucket_ids,
+)
 from seqtag.neural import (
     AdamState,
     Architecture,
@@ -12,9 +21,12 @@ from seqtag.neural import (
     adam_step,
     adam_step_rows,
     batch_loss_and_gradients,
+    bilstm_encode,
     build_tagger,
     lstm_cell,
+    tag_neural,
 )
+from seqtag.neural import tagger
 from seqtag.neural.lstm import lstm_backward, lstm_forward, sigmoid
 
 
@@ -89,11 +101,11 @@ def test_all_parameter_gradients_match_finite_differences(arch):
 
     # embedding rows touched by the batch
     table = model.embedding
-    for row, grad_vec in emb_grads.words.items():
+    for row, grad_vec in zip(*emb_grads["emb.words"]):
         for k in range(table.dim):
             fd = central_difference(model, batch, table.word_vectors, (row, k))
             assert grad_vec[k] == pytest.approx(fd, rel=1e-4, abs=1e-7)
-    for row, grad_vec in emb_grads.buckets.items():
+    for row, grad_vec in zip(*emb_grads["emb.buckets"]):
         for k in range(table.dim):
             fd = central_difference(model, batch, table.ngram_buckets, (row, k))
             assert grad_vec[k] == pytest.approx(fd, rel=1e-4, abs=1e-7)
@@ -113,10 +125,11 @@ def test_unk_vector_gradient_matches_finite_differences():
         head.weight[...] = rng.uniform(-0.5, 0.5, size=head.weight.shape)
     batch = tiny_sentences()
     _, _, emb_grads = batch_loss_and_gradients(model, batch)
-    assert emb_grads.unk is not None
+    rows, unk_grad = emb_grads["emb.unk"]
+    assert rows.tolist() == [0]
     for k in range(table.dim):
         fd = central_difference(model, batch, table.unk_vector, (k,))
-        assert emb_grads.unk[k] == pytest.approx(fd, rel=1e-4, abs=1e-7)
+        assert unk_grad[0, k] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
 
 def test_frozen_mode_produces_no_embedding_gradients():
@@ -140,7 +153,125 @@ def test_gradient_locality_for_untouched_rows():
         head.weight[...] = rng.uniform(-0.5, 0.5, size=head.weight.shape)
     _, _, emb_grads = batch_loss_and_gradients(model, tiny_sentences())
     # "orphan" never appears in the batch: its lexical row gets no gradient
-    assert table.vocab["orphan"] not in emb_grads.words
+    assert table.vocab["orphan"] not in emb_grads["emb.words"][0]
+
+
+def reference_row_grads(table, batch, dxs_per_sentence):
+    """Per-token dict accumulation of embedding row gradients, then the
+    batch mean: {slot: {row: gradient}}."""
+    slots = {"emb.words": {}, "emb.buckets": {}, "emb.unk": {}}
+
+    def bump(slot, row, value):
+        store = slots[slot]
+        store[row] = store[row] + value if row in store else value.copy()
+
+    for sentence, dxs in zip(batch, dxs_per_sentence):
+        for token, dx in zip(sentence, dxs):
+            idx = table.vocab.get(token.surface)
+            buckets = ngram_bucket_ids(table, token.surface)
+            if idx is not None:
+                share = dx / (1 + len(buckets))
+                bump("emb.words", idx, share)
+                for b in buckets:
+                    bump("emb.buckets", b, share)
+            elif buckets:
+                share = dx / len(buckets)
+                for b in buckets:
+                    bump("emb.buckets", b, share)
+            else:
+                bump("emb.unk", 0, dx)
+    n = len(batch)
+    return {
+        slot: {row: grad / n for row, grad in store.items()}
+        for slot, store in slots.items()
+        if store
+    }
+
+
+# one-letter words have no n-grams: in the vocabulary they use their row
+# alone, outside it they fall back to UNK
+WORD_POOL = ["a", "b", "x", "y", "alpha", "beta", "gamma", "alphas", "queue", "zeta"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    vocab=st.lists(st.sampled_from(WORD_POOL), min_size=1, unique=True),
+    batch=st.lists(
+        st.lists(st.sampled_from(WORD_POOL), min_size=1, max_size=6), min_size=1, max_size=4
+    ),
+    bucket_count=st.integers(1, 6),
+    arch=st.sampled_from(ARCHITECTURES),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_gradient_arrays_match_per_token_dict_reference(vocab, batch, bucket_count,
+                                                            arch, seed):
+    rng = np.random.default_rng(seed)
+    table = init_random(vocab, EmbeddingConfig(dim=3, bucket_count=bucket_count, seed=seed))
+    model = build_tagger(arch, table, 2, rng, dropout_rate=0.0)
+    for head in model.heads.values():
+        head.weight[...] = rng.uniform(-0.5, 0.5, size=head.weight.shape)
+    sentences = [
+        Sentence(tuple(Token(w, "n", NerLabel("S", "LOC")) for w in words))
+        for words in batch
+    ]
+
+    # the input gradients of each scan, in call order: forward, backward
+    scan_dxs = []
+
+    def recording_backward(*args):
+        dxs, grads = lstm_backward(*args)
+        scan_dxs.append(dxs)
+        return dxs, grads
+
+    with mock.patch.object(tagger, "lstm_backward", recording_backward):
+        _, _, emb_grads = batch_loss_and_gradients(model, sentences)
+    dxs_per_sentence = [
+        fwd + bwd[::-1] for fwd, bwd in zip(scan_dxs[::2], scan_dxs[1::2])
+    ]
+    want = reference_row_grads(table, sentences, dxs_per_sentence)
+
+    assert sorted(emb_grads) == sorted(want)
+    for slot, (rows, grads) in emb_grads.items():
+        assert rows.tolist() == sorted(want[slot])
+        assert grads.shape == (len(rows), table.dim)
+        for row, got in zip(rows, grads):
+            expected = want[slot][row]
+            assert np.all(np.abs(got - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES, ids=lambda a: f"{a.inference}-{a.task}")
+def test_tag_neural_matches_embed_and_bilstm_encode(arch):
+    rng = np.random.default_rng(15)
+    model = tiny_model(arch, rng, dim=4, hidden=3)
+    # rows and weights large enough that the labels vary along a sentence
+    table = model.embedding
+    table.word_vectors[...] = rng.normal(0.0, 1.0, size=table.word_vectors.shape)
+    table.ngram_buckets[...] = rng.normal(0.0, 1.0, size=table.ngram_buckets.shape)
+    table.unk_vector[...] = rng.normal(0.0, 1.0, size=table.dim)
+    for head in model.heads.values():
+        head.weight *= 10.0
+    sentences = tiny_sentences() + [
+        Sentence(
+            tuple(
+                Token(w, "n", NerLabel(None, None))
+                for w in ["q", "alpha", "alphas", "beta", "q", "zeta", "alpha"]
+            )
+        )
+    ]
+    for sentence in sentences:
+        xs = np.stack([embed(table, token.surface) for token in sentence])
+        encoded = bilstm_encode(xs, model.forward_lstm, model.backward_lstm)
+        want = {}
+        for name, head in model.heads.items():
+            scores = head.scores(encoded)
+            if head.kind == "softmax":
+                indices = np.argmax(scores, axis=1)
+            else:
+                indices, _ = chain.viterbi(scores, head.transitions)
+            want[name] = [head.labels[int(i)] for i in indices]
+        prediction = tag_neural(model, sentence)
+        assert prediction.ner == want["ner"]
+        assert prediction.pos == want.get("pos")
 
 
 def test_joint_gradients_linear_in_task_weight():
@@ -340,7 +471,10 @@ def test_adam_step_rows_matches_per_row_loop_bit_for_bit(n_rows, dim, n_steps, s
         rows = rng.choice(n_rows, size=rng.integers(1, n_rows + 1), replace=False)
         row_grads = {int(r): rng.normal(0.0, 10.0, size=dim) for r in rows}
         touched.update(row_grads)
-        adam_step_rows(got, row_grads, got_state, "w", learning_rate=0.01)
+        adam_step_rows(
+            got, np.array(list(row_grads)), np.stack(list(row_grads.values())),
+            got_state, "w", learning_rate=0.01,
+        )
         reference_adam_rows(want, row_grads, want_state, "w", learning_rate=0.01)
         assert got.tobytes() == want.tobytes()
         assert got_state.m["w"].tobytes() == want_state.m["w"].tobytes()
@@ -355,7 +489,7 @@ def test_adam_step_rows_updates_a_row_view_in_place():
     want = unk[None, :].copy()
     grad = np.array([0.25, -0.5, 1.0])
     state, want_state = AdamState(t=1), AdamState(t=1)
-    adam_step_rows(unk[None, :], {0: grad}, state, "emb.unk")
+    adam_step_rows(unk[None, :], np.array([0]), grad[None, :], state, "emb.unk")
     reference_adam_rows(want, {0: grad}, want_state, "emb.unk")
     assert unk.tobytes() == want[0].tobytes()
     assert not np.array_equal(unk, [0.5, -1.0, 2.0])

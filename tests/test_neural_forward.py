@@ -88,15 +88,6 @@ def test_cell_rejects_shape_mismatch():
         lstm_cell(np.zeros(5), np.zeros(3), np.zeros(3), p)
 
 
-def test_gate_views():
-    rng = np.random.default_rng(1)
-    p = random_params(rng, 2, 3)
-    np.testing.assert_array_equal(p.gate("i"), p.W[0:3])
-    np.testing.assert_array_equal(p.gate("f"), p.W[3:6])
-    np.testing.assert_array_equal(p.gate("o"), p.W[6:9])
-    np.testing.assert_array_equal(p.gate("g"), p.W[9:12])
-
-
 # ---------------------------------------------------------------------------
 # bilstm encoding
 

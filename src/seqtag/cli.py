@@ -128,20 +128,30 @@ def cmd_dump_features(args):
 # training
 
 
-def _embedding_config(config):
-    return EmbeddingConfig(
-        dim=config.dim,
-        min_n=config.min_n,
-        max_n=config.max_n,
-        bucket_count=config.bucket_count,
+def _trainer_config(config):
+    if config.model == "crf":
+        return CrfTrainConfig(
+            l2=config.l2,
+            learning_rate=config.learning_rate,
+            epochs=config.epochs,
+            patience=config.patience,
+            batch_size=config.batch_size,
+            seed=config.seed,
+            shuffle=config.shuffle,
+        )
+    return NeuralTrainConfig(
+        learning_rate=config.learning_rate,
+        beta1=config.beta1,
+        beta2=config.beta2,
+        epsilon=config.epsilon,
+        batch_size=config.batch_size,
+        max_epochs=config.epochs,
+        patience=config.patience,
+        joint_loss_weight=config.joint_loss_weight,
+        dropout=config.dropout,
         seed=config.seed,
+        hidden_size=config.hidden_size,
     )
-
-
-def _load_vectors(config):
-    if not config.vectors:
-        raise ConfigError(f"embedding {config.embedding} needs a vectors path")
-    return load_text_vectors(_read_text(config.vectors), _embedding_config(config))
 
 
 def cmd_train(args):
@@ -156,7 +166,16 @@ def cmd_train(args):
             raise ConfigError("missing train path")
         if not config.model_out:
             raise ConfigError("missing model_out path")
-    except (ConfigError, OSError) as exc:
+        # both configs reject out-of-range values
+        embedding_config = EmbeddingConfig(
+            dim=config.dim,
+            min_n=config.min_n,
+            max_n=config.max_n,
+            bucket_count=config.bucket_count,
+            seed=config.seed,
+        )
+        train_config = _trainer_config(config)
+    except (ConfigError, OSError, ValueError) as exc:
         _log(f"error: {exc}")
         return EXIT_USAGE
 
@@ -175,7 +194,9 @@ def cmd_train(args):
             valid = train
         embeddings = None
         if config.embedding.startswith("pretrained"):
-            embeddings = _load_vectors(config)
+            if not config.vectors:
+                raise ConfigError(f"embedding {config.embedding} needs a vectors path")
+            embeddings = load_text_vectors(_read_text(config.vectors), embedding_config)
     except (CorpusError, EmbeddingFormatError, ConfigError, OSError) as exc:
         _log(f"error: {exc}")
         return EXIT_DATA
@@ -184,39 +205,17 @@ def cmd_train(args):
     # check_finite_losses, not as numpy warnings before it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if config.model == "crf":
-            crf_config = CrfTrainConfig(
-                l2=config.l2,
-                learning_rate=config.learning_rate,
-                epochs=config.epochs,
-                patience=config.patience,
-                batch_size=config.batch_size,
-                seed=config.seed,
-                shuffle=config.shuffle,
-            )
             records = []
             model = train_crf(
-                train, valid, crf_config, task=config.task, embeddings=embeddings,
+                train, valid, train_config, task=config.task, embeddings=embeddings,
                 log=records,
             )
         else:
-            neural_config = NeuralTrainConfig(
-                learning_rate=config.learning_rate,
-                beta1=config.beta1,
-                beta2=config.beta2,
-                epsilon=config.epsilon,
-                batch_size=config.batch_size,
-                max_epochs=config.epochs,
-                patience=config.patience,
-                joint_loss_weight=config.joint_loss_weight,
-                dropout=config.dropout,
-                seed=config.seed,
-                hidden_size=config.hidden_size,
-            )
             arch = Architecture(config.inference, config.task, config.embedding_mode)
             model, records = train_neural(
-                train, valid, arch, neural_config,
+                train, valid, arch, train_config,
                 embeddings=embeddings,
-                embedding_config=_embedding_config(config),
+                embedding_config=embedding_config,
             )
 
     log_lines = format_training_log(records)

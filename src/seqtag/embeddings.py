@@ -4,8 +4,8 @@ Three regimes: randomly initialized, pretrained and frozen, or pretrained
 and fine-tuned during training. A word's vector is the average of its
 lexical vector and its hashed n-gram bucket vectors; words outside the
 vocabulary fall back to the bucket average, or to a designated UNK vector
-when subword composition is off (plain text vector files carry no subword
-table).
+when the table has no bucket rows (plain text vector files carry no
+subword table).
 """
 
 from __future__ import annotations
@@ -51,34 +51,41 @@ class EmbeddingConfig:
 class EmbeddingTable:
     """Vector store: lexical rows, n-gram bucket rows, and an UNK row.
 
-    ``subword`` controls whether n-gram composition participates in
-    lookups; ``bucket_count`` must be >= 1 whenever it does. ``mode``
+    ``dim``, ``bucket_count`` and ``subword`` are read from the arrays:
+    lookups compose n-grams exactly when there are bucket rows. ``mode``
     decides what training may touch: nothing in frozen mode, the rows
     used by a batch otherwise.
     """
 
-    dim: int
     vocab: dict[str, int]
     word_vectors: np.ndarray           # |V| x dim
-    ngram_buckets: np.ndarray          # B x dim
+    ngram_buckets: np.ndarray          # B x dim, B = 0 without subword table
     min_n: int
     max_n: int
-    bucket_count: int
     mode: str = "frozen"
-    subword: bool = True
     unk_vector: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.subword and self.bucket_count < 1:
-            raise ValueError("subword composition needs bucket_count >= 1")
-        if self.word_vectors.shape != (len(self.vocab), self.dim):
-            raise ValueError("word_vectors shape does not match vocab/dim")
-        if self.ngram_buckets.shape != (self.bucket_count, self.dim):
-            raise ValueError("ngram_buckets shape does not match bucket_count/dim")
+        if self.word_vectors.ndim != 2 or len(self.word_vectors) != len(self.vocab):
+            raise ValueError("word_vectors shape does not match vocab")
+        if self.ngram_buckets.ndim != 2 or self.ngram_buckets.shape[1] != self.dim:
+            raise ValueError("ngram_buckets shape does not match dim")
         if self.unk_vector is None:
             self.unk_vector = np.zeros(self.dim)
+
+    @property
+    def dim(self):
+        return self.word_vectors.shape[1]
+
+    @property
+    def bucket_count(self):
+        return len(self.ngram_buckets)
+
+    @property
+    def subword(self):
+        return self.bucket_count > 0
 
     @property
     def trainable(self):
@@ -122,13 +129,11 @@ def hash_ngram(ngram, bucket_count):
 
 
 def ngram_bucket_ids(table, word):
-    """Bucket row indices of a word's n-grams (empty when subword is off)."""
-    if not table.subword:
+    """Bucket row indices of a word's n-grams (none without bucket rows)."""
+    bucket_count = table.bucket_count
+    if not bucket_count:
         return []
-    return [
-        hash_ngram(g, table.bucket_count)
-        for g in char_ngrams(word, table.min_n, table.max_n)
-    ]
+    return [hash_ngram(g, bucket_count) for g in char_ngrams(word, table.min_n, table.max_n)]
 
 
 def compose(table, idx, buckets):
@@ -156,9 +161,9 @@ def embed(table, word):
 def load_text_vectors(lines, config, name_hint=""):
     """Read a "count dim" header plus one "word v1 .. v_dim" row per line.
 
-    Buckets come back zero-initialized and subword composition off: text
-    vector files carry no subword table. The UNK fallback is the mean of
-    all loaded vectors. Callers pick the mode afterwards.
+    The bucket block is empty (0 x dim), as text vector files carry no
+    subword table; config's n-gram fields go unused. The UNK fallback is
+    the mean of all loaded vectors. Callers pick the mode afterwards.
     """
     if isinstance(lines, str):
         lines = lines.splitlines()
@@ -207,15 +212,12 @@ def load_text_vectors(lines, config, name_hint=""):
 
     unk = vectors.mean(axis=0) if count else np.zeros(dim)
     return EmbeddingTable(
-        dim=dim,
         vocab=vocab,
         word_vectors=vectors,
-        ngram_buckets=np.zeros((config.bucket_count, dim)),
+        ngram_buckets=np.zeros((0, dim)),
         min_n=config.min_n,
         max_n=config.max_n,
-        bucket_count=config.bucket_count,
         mode="frozen",
-        subword=False,
         unk_vector=unk,
     )
 
@@ -236,13 +238,10 @@ def init_random(vocab, config):
     word_vectors = rng.uniform(-bound, bound, size=(len(words), config.dim))
     buckets = rng.uniform(-bound, bound, size=(config.bucket_count, config.dim))
     return EmbeddingTable(
-        dim=config.dim,
         vocab={w: i for i, w in enumerate(words)},
         word_vectors=word_vectors,
         ngram_buckets=buckets,
         min_n=config.min_n,
         max_n=config.max_n,
-        bucket_count=config.bucket_count,
         mode="random",
-        subword=True,
     )

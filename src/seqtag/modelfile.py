@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import io
 import json
+import math
+import os
 import struct
 
 import numpy as np
 
-from seqtag.corpus import NerLabel
+from seqtag.corpus import CorpusError, NerLabel
 from seqtag.crf import CrfModel, FeatureConfig
 from seqtag.embeddings import EmbeddingTable
 from seqtag.neural.lstm import LstmParams
@@ -108,9 +110,14 @@ def _read_block(src):
         shape = tuple(
             struct.unpack("<Q", _read_exact(src, 8, what))[0] for _ in range(ndim)
         )
-        count = int(np.prod(shape)) if shape else 1
-        data = _read_exact(src, 8 * count, what)
-        payload = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+        size = 8 * math.prod(shape)  # a Python int: no overflow
+        if size > os.fstat(src.fileno()).st_size - src.tell():  # before read() allocates it
+            raise TruncatedModelFileError(f"file ends inside {what}")
+        data = _read_exact(src, size, what)
+        try:
+            payload = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+        except ValueError as exc:  # no elements, but a dimension too large
+            raise ModelFileError(f"{what} has an impossible shape {shape}") from exc
     elif kind == _KIND_STRS:
         (count,) = struct.unpack("<I", _read_exact(src, 4, what))
         payload = [_read_str(src, what) for _ in range(count)]
@@ -168,17 +175,18 @@ def _embedding_blocks(table):
 
 def _embedding_from_blocks(blocks):
     meta = json.loads(blocks["emb.meta"])
-    vocab = {word: i for i, word in enumerate(blocks["emb.vocab"])}
+    buckets = blocks["emb.buckets"]
+    if buckets.shape != (meta["bucket_count"], meta["dim"]):
+        raise ValueError("emb.meta dim or bucket_count does not match emb.buckets")
+    if not meta["subword"]:  # files of text vectors once stored zero rows here
+        buckets = np.zeros((0, meta["dim"]))
     return EmbeddingTable(
-        dim=meta["dim"],
-        vocab=vocab,
+        vocab={word: i for i, word in enumerate(blocks["emb.vocab"])},
         word_vectors=blocks["emb.words"],
-        ngram_buckets=blocks["emb.buckets"],
+        ngram_buckets=buckets,
         min_n=meta["min_n"],
         max_n=meta["max_n"],
-        bucket_count=meta["bucket_count"],
         mode=meta["mode"],
-        subword=meta["subword"],
         unk_vector=blocks["emb.unk"],
     )
 
@@ -315,13 +323,13 @@ def load_model(path):
             raise ModelFileError(f"{path}: trailing bytes after the last block")
     if "meta" not in blocks:
         raise ModelFileError(f"{path}: no meta block")
-    # a missing block or field, a wrong type or shape or meta that is not
-    # JSON: malformed
+    # a missing block or field, a wrong type or shape, meta that is not
+    # JSON or a label that does not parse: malformed
     try:
         if json.loads(blocks["meta"])["kind"] == "crf":
             model, table = _crf_from_blocks(blocks)
         else:
             model, table = _neural_from_blocks(blocks)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, CorpusError, KeyError, TypeError, ValueError) as exc:
         raise ModelFileError(f"{path}: malformed model blocks ({exc!r})") from exc
     return model, kind, snapshot, table

@@ -96,9 +96,9 @@ def lstm_forward(xs, params):
 def lstm_backward(cache, params, dhs):
     """BPTT given upstream gradients on every hidden state.
 
-    Only dh_next = U^T dz stays in the loop; the parameter and input
-    gradients are one GEMM each over the (T, 4H) gate gradients.
-    Returns gradients on the inputs and a dict with keys "W", "U", "b".
+    Only dh_next = U^T dz stays in the loop; the parameter gradients are
+    one GEMM each over the (T, 4H) gate gradients DZ. Returns DZ (the
+    input gradients are DZ @ W) and a dict with keys "W", "U", "b".
     """
     xs, h_prev, c_prev, gates, tanh_cs = cache
     n_steps = xs.shape[0]
@@ -125,7 +125,7 @@ def lstm_backward(cache, params, dhs):
         dc_next = dc * f[t]
         dh_next = dz[t] @ params.U
     grads = {"W": dz.T @ xs, "U": dz.T @ h_prev, "b": dz.sum(axis=0)}
-    return dz @ params.W, grads
+    return dz, grads
 
 
 def bilstm_encode(xs, fwd, bwd):

@@ -78,6 +78,12 @@ class NeuralTrainConfig:
             raise ValueError("patience must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.hidden_size is not None and self.hidden_size < 1:
+            raise ValueError("hidden_size must be >= 1")
+        if self.joint_loss_weight < 0:
+            raise ValueError("joint_loss_weight must be >= 0")
 
 
 @dataclass
@@ -286,10 +292,8 @@ def _sentence_pass(model, sentence, joint_weight, training, rng, cache,
     if mask_h is not None:
         d_encoded = d_encoded * mask_h
     h = model.hidden_size
-    dxs_f, lstm_grads_f = lstm_backward(cache_f, model.forward_lstm, d_encoded[:, :h])
-    dxs_b_rev, lstm_grads_b = lstm_backward(
-        cache_b, model.backward_lstm, d_encoded[::-1, h:]
-    )
+    dz_f, lstm_grads_f = lstm_backward(cache_f, model.forward_lstm, d_encoded[:, :h])
+    dz_b, lstm_grads_b = lstm_backward(cache_b, model.backward_lstm, d_encoded[::-1, h:])
     for key, value in lstm_grads_f.items():
         grads[f"fwd.{key}"] = value
     for key, value in lstm_grads_b.items():
@@ -297,7 +301,7 @@ def _sentence_pass(model, sentence, joint_weight, training, rng, cache,
 
     if not model.embedding.trainable:
         return total, grads, None
-    dxs = dxs_f + dxs_b_rev[::-1]
+    dxs = dz_f @ model.forward_lstm.W + (dz_b @ model.backward_lstm.W)[::-1]
     if mask_e is not None:
         dxs = dxs * mask_e
     return total, grads, (infos, dxs)

@@ -1,10 +1,13 @@
 import warnings
 
+import numpy as np
 import pytest
 from synthgen import make_corpus
 
 from seqtag.cli import main
 from seqtag.corpus import write_conll
+from seqtag.embeddings import embed
+from seqtag.modelfile import load_model
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -243,6 +246,54 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     config_path = tmp_path / "bad.cfg"
     config_path.write_text("model = crf\nwat = 1\n", encoding="utf-8")
     assert main(["train", str(config_path)]) == 2
+
+
+BILSTM = {"model": "bilstm-softmax", "embedding": "random", "dim": 6, "hidden_size": 6}
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        dict(BILSTM, dim=0),
+        dict(BILSTM, min_n=0),
+        dict(BILSTM, min_n=4, max_n=3),
+        {"epochs": 0},
+        {"l2": -1},
+        {"batch_size": 0},
+        dict(BILSTM, dropout=1.0),
+        dict(BILSTM, patience=0),
+        dict(BILSTM, hidden_size=0),
+        dict(BILSTM, batch_size=0),
+        dict(BILSTM, joint_loss_weight=-1),
+    ],
+    ids=[
+        "dim-0", "min_n-0", "min_n-above-max_n", "crf-epochs-0", "crf-l2-negative",
+        "crf-batch_size-0", "dropout-1", "patience-0", "hidden_size-0",
+        "bilstm-batch_size-0", "joint_loss_weight-negative",
+    ],
+)
+def test_out_of_range_config_is_usage_error(tmp_path, sample_file, capsys, extra):
+    model_out = tmp_path / "model.bin"
+    config = crf_config(tmp_path, sample_file, model_out, **extra)
+    assert main(["train", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert len([l for l in err.splitlines() if l.startswith("error: ")]) == 1
+    assert "Traceback" not in err
+    assert not model_out.exists()
+
+
+def test_random_embeddings_without_buckets_train(tmp_path, sample_file, capsys):
+    model_out = tmp_path / "model.bin"
+    config = crf_config(
+        tmp_path, sample_file, model_out, epochs=2, batch_size=4, bucket_count=0, **BILSTM
+    )
+    assert main(["train", str(config)]) == 0
+    capsys.readouterr()
+    _, _, _, table = load_model(model_out)
+    assert table.bucket_count == 0
+    word = next(iter(table.vocab))
+    np.testing.assert_array_equal(embed(table, word), table.word_vectors[table.vocab[word]])
+    np.testing.assert_array_equal(embed(table, "unseen-word"), table.unk_vector)
 
 
 def test_corrupt_model_file(tmp_path, sample_file, capsys):

@@ -124,7 +124,8 @@ def test_load_tiny_file():
     assert table.dim == 3
     assert not table.subword
     np.testing.assert_array_equal(table.word_vectors[0], [1, 0, 0])
-    np.testing.assert_array_equal(table.ngram_buckets, np.zeros((13, 3)))
+    assert table.ngram_buckets.shape == (0, 3)
+    assert table.bucket_count == 0
 
 
 def test_load_arity_mismatch_reports_line():
@@ -172,16 +173,17 @@ def test_embed_in_vocab_without_subword_is_exact_row():
 
 
 def test_embed_in_vocab_with_zero_buckets_scales_down():
-    table = load_text_vectors("2 3\nab 1 0 0\nb 0 1 0\n", small_config(min_n=3, max_n=3))
-    table.subword = True
+    table = init_random(["ab", "b"], small_config(min_n=3, max_n=3))
+    table.word_vectors[table.vocab["ab"]] = [1, 0, 0]
+    table.ngram_buckets[...] = 0.0
     n = len(char_ngrams("ab", 3, 3))
     assert n == 2
     np.testing.assert_allclose(embed(table, "ab"), np.array([1, 0, 0]) / (1 + n))
 
 
 def test_embed_oov_with_zero_buckets_is_zero():
-    table = load_text_vectors("1 3\na 1 0 0\n", small_config())
-    table.subword = True
+    table = init_random(["a"], small_config())
+    table.ngram_buckets[...] = 0.0
     np.testing.assert_array_equal(embed(table, "xyz"), [0, 0, 0])
 
 

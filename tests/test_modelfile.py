@@ -1,17 +1,29 @@
 import copy
+import io
+import json
+import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from synthgen import make_corpus
 
 from seqtag.cli import main
+from seqtag.corpus import Sentence, Token
 from seqtag.crf import CrfTrainConfig, tag_crf, train_crf
-from seqtag.embeddings import EmbeddingConfig, init_random
+from seqtag.embeddings import EmbeddingConfig, init_random, load_text_vectors
 from seqtag.modelfile import (
+    FORMAT_VERSION,
+    MAGIC,
     ModelFileError,
     NotAModelFileError,
     TruncatedModelFileError,
     VersionMismatchError,
+    _neural_blocks,
+    _write_block,
+    _write_str,
     load_model,
     save_model,
 )
@@ -230,3 +242,133 @@ def test_inconsistent_block_shapes_rejected(tmp_path, crf_model, corpus, capsys,
     sentences.write_text("Ada\nruns\n", encoding="utf-8")
     assert main(["tag", str(path), str(sentences)]) == 1
     assert "malformed model blocks" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def random_model(corpus):
+    return neural_model(corpus, "crf", "single")
+
+
+@pytest.fixture(scope="module")
+def vector_model(corpus):
+    vocab = sorted({t.surface for s in corpus for t in s})
+    rng = np.random.default_rng(4)
+    rows = [f"{len(vocab)} 6"] + [
+        w + "".join(f" {x:.4f}" for x in rng.normal(size=6)) for w in vocab
+    ]
+    table = load_text_vectors("\n".join(rows), EmbeddingConfig(dim=6, bucket_count=13))
+    config = NeuralTrainConfig(
+        learning_rate=0.02, batch_size=8, max_epochs=3, patience=3,
+        dropout=0.0, seed=0, hidden_size=8,
+    )
+    model, _ = train_neural(
+        corpus, corpus, Architecture("crf", "single", "frozen"), config, embeddings=table
+    )
+    return model
+
+
+def assert_load_and_tag_fail(path, tmp_path, capsys, message):
+    with pytest.raises(ModelFileError, match=message):
+        load_model(path)
+    sentences = tmp_path / "in.txt"
+    sentences.write_text("Ada\nruns\n", encoding="utf-8")
+    assert main(["tag", str(path), str(sentences)]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_text_vector_model_with_zero_bucket_block_loads(tmp_path, vector_model, corpus):
+    # the layout older builds wrote for text vectors: "subword": false
+    # beside a block of zero bucket rows
+    blocks = []
+    for name, payload in _neural_blocks(vector_model):
+        if name == "emb.meta":
+            meta = json.loads(payload)
+            assert meta["subword"] is False
+            payload = json.dumps(dict(meta, bucket_count=13), sort_keys=True)
+        elif name == "emb.buckets":
+            assert payload.shape == (0, 6)
+            payload = np.zeros((13, 6))
+        blocks.append((name, payload))
+    out = io.BytesIO()
+    out.write(MAGIC)
+    out.write(struct.pack("<I", FORMAT_VERSION))
+    _write_str(out, "bilstm-crf")
+    _write_str(out, "model = bilstm-crf\n")
+    out.write(struct.pack("<I", len(blocks)))
+    for name, payload in blocks:
+        _write_block(out, name, payload)
+    old = tmp_path / "old.bin"
+    old.write_bytes(out.getvalue())
+
+    loaded, kind, snapshot, table = load_model(old)
+    assert table.ngram_buckets.shape == (0, 6)
+    first = list(corpus)[0]
+    unseen = Sentence(tuple(Token(t.surface + "~", t.pos, t.ner) for t in first))
+    for sentence in list(corpus) + [unseen]:
+        assert tag_neural(loaded, sentence) == tag_neural(vector_model, sentence)
+    resaved = save_model(loaded, tmp_path / "new.bin", kind, snapshot)
+    assert resaved == save_model(vector_model, tmp_path / "ref.bin", kind, snapshot)
+    assert len(resaved) == len(out.getvalue()) - 13 * 6 * 8 - 1  # "13" -> "0"
+
+
+@pytest.mark.parametrize(
+    "original,broken",
+    [(b'"bucket_count": 32', b'"bucket_count": 33'), (b'"dim": 6', b'"dim": 5')],
+    ids=["bucket-count", "dim"],
+)
+def test_embedding_meta_disagreeing_with_blocks_rejected(tmp_path, random_model, capsys,
+                                                         original, broken):
+    path = tmp_path / "meta.bin"
+    data = save_model(random_model, path, "bilstm-crf")
+    assert data.count(original) == 1
+    path.write_bytes(data.replace(original, broken))
+    assert_load_and_tag_fail(path, tmp_path, capsys, "does not match emb.buckets")
+
+
+@pytest.mark.parametrize("rows", [2**40, 2**62])
+def test_huge_shape_field_rejected(tmp_path, crf_model, capsys, rows):
+    path = tmp_path / "huge.bin"
+    data = bytearray(save_model(crf_model, path, "crf"))
+    name = b"\x0d\x00\x00\x00state_weights"
+    assert data.count(name) == 1
+    at = data.index(name) + len(name) + 1 + 4  # past the kind byte and ndim
+    data[at : at + 8] = struct.pack("<Q", rows)
+    path.write_bytes(bytes(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        assert_load_and_tag_fail(path, tmp_path, capsys, "file ends inside block 'state_weights'")
+
+
+def test_unparsable_label_rejected(tmp_path, random_model, capsys):
+    path = tmp_path / "label.bin"
+    data = save_model(random_model, path, "bilstm-crf")
+    assert data.count(b'"B-LOC"') == 1
+    path.write_bytes(data.replace(b'"B-LOC"', b'"Q-LOC"'))
+    assert_load_and_tag_fail(path, tmp_path, capsys, "malformed model blocks")
+
+
+@pytest.fixture(scope="module")
+def model_images(tmp_path_factory, crf_model, random_model, vector_model):
+    folder = tmp_path_factory.mktemp("images")
+    return folder, {
+        "crf": save_model(crf_model, folder / "crf.bin", "crf"),
+        "random": save_model(random_model, folder / "random.bin", "bilstm-crf"),
+        "vectors": save_model(vector_model, folder / "vectors.bin", "bilstm-crf"),
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_model_files_load_or_raise_model_file_error(model_images, data):
+    folder, images = model_images
+    image = bytearray(images[data.draw(st.sampled_from(sorted(images)))])
+    edits = st.tuples(st.integers(0, len(image) - 1), st.integers(0, 255))
+    for at, value in data.draw(st.lists(edits, min_size=1, max_size=4)):
+        image[at] = value
+    cut = data.draw(st.one_of(st.none(), st.integers(0, len(image) - 1)))
+    path = folder / "mutated.bin"
+    path.write_bytes(bytes(image[:cut]))
+    try:
+        load_model(path)
+    except ModelFileError:
+        pass

@@ -218,10 +218,10 @@ def test_row_gradient_arrays_match_per_token_dict_reference(vocab, batch, bucket
     # the input gradients of each scan, in call order: forward, backward
     scan_dxs = []
 
-    def recording_backward(*args):
-        dxs, grads = lstm_backward(*args)
-        scan_dxs.append(dxs)
-        return dxs, grads
+    def recording_backward(cache, params, dhs):
+        dz, grads = lstm_backward(cache, params, dhs)
+        scan_dxs.append(dz @ params.W)
+        return dz, grads
 
     with mock.patch.object(tagger, "lstm_backward", recording_backward):
         _, _, emb_grads = batch_loss_and_gradients(model, sentences)
@@ -370,9 +370,9 @@ def test_lstm_scan_and_bptt_match_per_step_reference(n_steps, input_size, hidden
 
     want_hs, want_dxs, want_grads = reference_lstm(xs, params, dhs)
     hs, cache = lstm_forward(xs, params)
-    dxs, grads = lstm_backward(cache, params, dhs)
+    dz, grads = lstm_backward(cache, params, dhs)
     assert_close_to_reference(hs, want_hs)
-    assert_close_to_reference(dxs, want_dxs)
+    assert_close_to_reference(dz @ params.W, want_dxs)
     assert sorted(grads) == ["U", "W", "b"]
     for key, want in want_grads.items():
         assert_close_to_reference(grads[key], want)

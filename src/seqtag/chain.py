@@ -2,7 +2,20 @@
 
 A path y_1..y_T scores sum_t emissions[t, y_t] + sum_{t>=1}
 transitions[y_{t-1}, y_t]; there are no separate start or end scores.
-All recursions run in log space with max-subtraction for stability.
+
+The forward and backward recursions run in scaled probability space
+(Rabiner 1989, section V.A). With P = exp(transitions - max) and
+Q_t = exp(emissions[t] - max_t), a forward step is one vector-matrix
+product times Q_t, renormalised to sum 1, and log alpha is the log of
+the scaled vector plus the running sum of the log scales and maxima;
+the backward pass is the same scan over P^T in reverse. A sentence
+falls back to the log-space recursions (max-subtraction, then exp and
+log of an L x L array per step) when a max is not finite (NaN, +inf or
+an all -inf row) or when a nonzero entry of P, Q or a scaled vector is
+below exp(-170), a score spread above 170. Then no product of three
+factors underflows, so the scaled path loses no mass; -inf scores
+(forbidden bigrams) stay exact zeros, and NaN scores and extreme spreads
+get the log-space result. Viterbi runs in log space.
 
 sequence_nll and nll_gradients are the one training objective of the
 feature CRF and the neural CRF head alike.
@@ -11,6 +24,9 @@ feature CRF and the neural CRF head alike.
 from __future__ import annotations
 
 import numpy as np
+
+# a product of three factors of at least exp(_LOG_TINY) is a normal double
+_LOG_TINY = -170.0
 
 
 def _check(emissions, transitions):
@@ -26,7 +42,23 @@ def _check(emissions, transitions):
 
 def _logsumexp(a, axis):
     m = np.max(a, axis=axis, keepdims=True)
+    m[m == -np.inf] = 0.0  # an all -inf slice sums to 0, not NaN
     return (m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))).squeeze(axis)
+
+
+def _in_range(log_values):
+    """True when every entry is -inf or at least _LOG_TINY; NaN is neither."""
+    return bool(log_values.min() >= _LOG_TINY) or bool(
+        np.all((log_values >= _LOG_TINY) | (log_values == -np.inf))
+    )
+
+
+def _exp_shifted(log_values, axis=None):
+    """exp(log_values - max) along axis, or None when it leaves _in_range
+    (a NaN, +inf or all -inf max always does), and the max."""
+    top = np.max(log_values, axis=axis, keepdims=True)
+    shifted = log_values - top
+    return (np.exp(shifted) if _in_range(shifted) else None), top
 
 
 def path_score(emissions, transitions, path):
@@ -38,14 +70,49 @@ def path_score(emissions, transitions, path):
     return float(score)
 
 
-def forward_log_alphas(emissions, transitions):
-    emissions, transitions = _check(emissions, transitions)
+def _log_forward(emissions, transitions):
     n_steps = emissions.shape[0]
     alphas = np.empty_like(emissions)
     alphas[0] = emissions[0]
     for t in range(1, n_steps):
         alphas[t] = emissions[t] + _logsumexp(alphas[t - 1][:, None] + transitions, axis=0)
     return alphas
+
+
+def _scan(p, q):
+    """x_0 = q_0 / s_0 and x_t = (x_{t-1} @ p) * q_t / s_t, each x_t summing
+    to 1; (x, log x, s), or None when log x leaves _in_range."""
+    x = np.empty_like(q)
+    scales = np.empty(q.shape[0])
+    scales[0] = q[0].sum()
+    np.divide(q[0], scales[0], out=x[0])
+    for t in range(1, q.shape[0]):
+        row = x[t]
+        np.dot(x[t - 1], p, out=row)
+        row *= q[t]
+        scales[t] = row.sum()
+        row /= scales[t]
+    log_x = np.log(x)
+    return (x, log_x, scales) if _in_range(log_x) else None
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _scaled_forward(emissions, transitions):
+    p, top_transition = _exp_shifted(transitions)
+    q, top_emissions = _exp_shifted(emissions, axis=1)
+    scan = None if p is None or q is None else _scan(p, q)
+    if scan is None:
+        return None
+    _, log_alpha, scales = scan
+    steps = top_emissions[:, 0] + np.log(scales)
+    steps[1:] += top_transition.item()
+    return log_alpha + np.cumsum(steps)[:, None]
+
+
+def forward_log_alphas(emissions, transitions):
+    emissions, transitions = _check(emissions, transitions)
+    alphas = _scaled_forward(emissions, transitions)
+    return _log_forward(emissions, transitions) if alphas is None else alphas
 
 
 def log_partition(emissions, transitions):
@@ -58,12 +125,14 @@ def viterbi(emissions, transitions):
     """Best path and its score; ties go to the lower label index."""
     emissions, transitions = _check(emissions, transitions)
     n_steps, n_labels = emissions.shape
+    cols = np.arange(n_labels)
     score = emissions[0].copy()
     backpointers = np.zeros((n_steps, n_labels), dtype=int)
     for t in range(1, n_steps):
         candidates = score[:, None] + transitions  # (from, to)
-        backpointers[t] = np.argmax(candidates, axis=0)
-        score = emissions[t] + np.max(candidates, axis=0)
+        best = np.argmax(candidates, axis=0)
+        backpointers[t] = best
+        score = emissions[t] + candidates[best, cols]
     best_last = int(np.argmax(score))
     best_score = float(score[best_last])
     path = [best_last]
@@ -73,15 +142,8 @@ def viterbi(emissions, transitions):
     return path, best_score
 
 
-def marginals(emissions, transitions):
-    """Node and edge posteriors from the forward-backward recursions.
-
-    Returns (node, edge): node[t, y] = P(y_t = y) with rows summing to 1;
-    edge[t, y, y'] = P(y_t = y, y_{t+1} = y'). edge is empty when T = 1.
-    """
-    emissions, transitions = _check(emissions, transitions)
+def _log_marginals(emissions, transitions, alphas):
     n_steps, n_labels = emissions.shape
-    alphas = forward_log_alphas(emissions, transitions)
     betas = np.zeros_like(emissions)
     for t in range(n_steps - 2, -1, -1):
         betas[t] = _logsumexp(transitions + (emissions[t + 1] + betas[t + 1])[None, :], axis=1)
@@ -96,6 +158,40 @@ def marginals(emissions, transitions):
             - log_z
         )
     return node, edge
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _scaled_marginals(emissions, transitions, alphas):
+    p, _ = _exp_shifted(transitions)
+    q, _ = _exp_shifted(emissions, axis=1)
+    alpha, _ = _exp_shifted(alphas, axis=1)
+    # the backward recursion is the forward scan, reversed, over P^T:
+    # weighted[t] is Q_t * beta_t up to a constant
+    scan = None if p is None or q is None or alpha is None else _scan(p.T, q[::-1])
+    if scan is None:
+        return None
+    weighted = scan[0][::-1]
+    beta = np.ones_like(q)
+    beta[:-1] = weighted[1:] @ p.T
+    node = alpha * beta
+    norms = node.sum(axis=1, keepdims=True)
+    node /= norms
+    # sum_{i,j} alpha_t(i) P_ij weighted_{t+1}(j) = sum_i alpha_t(i) beta_t(i)
+    edge = (alpha[:-1] / norms[:-1])[:, :, None] * weighted[1:, None, :]
+    edge *= p
+    return node, edge
+
+
+def marginals(emissions, transitions):
+    """Node and edge posteriors from the forward-backward recursions.
+
+    Returns (node, edge): node[t, y] = P(y_t = y) with rows summing to 1;
+    edge[t, y, y'] = P(y_t = y, y_{t+1} = y'). edge is empty when T = 1.
+    """
+    emissions, transitions = _check(emissions, transitions)
+    alphas = forward_log_alphas(emissions, transitions)
+    scaled = _scaled_marginals(emissions, transitions, alphas)
+    return _log_marginals(emissions, transitions, alphas) if scaled is None else scaled
 
 
 def sequence_nll(emissions, transitions, gold):

@@ -93,6 +93,11 @@ def cmd_validate(args):
 
 def cmd_dump_features(args):
     try:
+        embedding_config = EmbeddingConfig(dim=args.dim)
+    except ValueError as exc:
+        _log(f"error: {exc}")
+        return EXIT_USAGE
+    try:
         corpus = _load_corpus(args.corpus, strict=False)
     except CorpusError as exc:
         _log(f"error: {exc}")
@@ -110,9 +115,7 @@ def cmd_dump_features(args):
     table = None
     if args.vectors:
         try:
-            table = load_text_vectors(
-                _read_text(args.vectors), EmbeddingConfig(dim=args.dim)
-            )
+            table = load_text_vectors(_read_text(args.vectors), embedding_config)
         except EmbeddingFormatError as exc:
             _log(f"error: {exc}")
             return EXIT_DATA

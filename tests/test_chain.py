@@ -7,6 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqtag.chain import (
+    _log_forward,
+    _log_marginals,
+    _logsumexp,
+    forward_log_alphas,
     log_partition,
     marginals,
     nll_gradients,
@@ -240,3 +244,112 @@ def test_nll_gradients_match_enumerated_counts(n_labels, gold, seed):
 def test_nll_gradients_reject_gold_length_mismatch():
     with pytest.raises(ValueError):
         nll_gradients(np.zeros((3, 2)), np.zeros((2, 2)), [0, 1])
+
+
+# ---------------------------------------------------------------------------
+# scaled forward-backward against the log-space loops
+
+EXTENDED = np.finfo(np.longdouble).eps < np.finfo(float).eps
+
+
+def log_space_reference(emissions, transitions, dtype=float):
+    """log Z, node and edge marginals from the private log-space loops."""
+    emissions = emissions.astype(dtype)
+    transitions = transitions.astype(dtype)
+    alphas = _log_forward(emissions, transitions)
+    node, edge = _log_marginals(emissions, transitions, alphas)
+    return float(_logsumexp(alphas[-1], axis=0)), node.astype(float), edge
+
+
+def score_spread(scores):
+    finite = scores[np.isfinite(scores)]
+    return float(finite.max() - finite.min()) if finite.size else 0.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the reference at Z = 0
+@pytest.mark.skipif(not EXTENDED, reason="the reference needs a long double wider than float64")
+@settings(max_examples=120, deadline=None)
+@given(
+    n_steps=st.integers(1, 60),
+    n_labels=st.integers(1, 40),
+    scale=st.sampled_from([0.0, 0.1, 1.0, 5.0, 20.0, 40.0, 400.0, 2000.0]),
+    forbidden=st.sampled_from([0.0, 0.25]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_steps=60, n_labels=40, scale=20.0, forbidden=0.0, seed=0)  # scaled, full size
+@example(n_steps=40, n_labels=39, scale=2000.0, forbidden=0.0, seed=1)  # spreads above 700
+@example(n_steps=30, n_labels=6, scale=1.0, forbidden=0.25, seed=2)  # forbidden bigrams
+@example(n_steps=30, n_labels=8, scale=400.0, forbidden=0.25, seed=3)  # both
+@example(n_steps=1, n_labels=1, scale=1.0, forbidden=0.0, seed=4)
+def test_scaled_recursions_match_log_space_reference(
+    n_steps, n_labels, scale, forbidden, seed
+):
+    rng = np.random.default_rng(seed)
+    emissions = rng.normal(size=(n_steps, n_labels)) * scale
+    transitions = rng.normal(size=(n_labels, n_labels)) * scale
+    transitions[rng.random(transitions.shape) < forbidden] = -np.inf
+    log_z = log_partition(emissions, transitions)
+    node, edge = marginals(emissions, transitions)
+
+    # what the float64 log-space fallback returns
+    fallback_z = log_space_reference(emissions, transitions)[0]
+    fallback_node, fallback_edge = _log_marginals(
+        emissions, transitions, forward_log_alphas(emissions, transitions)
+    )
+    # the same loops in extended precision, for the scaled path's accuracy
+    exact_z, exact_node, exact_edge = log_space_reference(
+        emissions, transitions, np.longdouble
+    )
+    if exact_z == -np.inf:  # every path has a forbidden bigram
+        assert log_z == -np.inf
+        return
+
+    z_fell_back = log_z == fallback_z
+    marginals_fell_back = np.array_equal(node, fallback_node, equal_nan=True) and (
+        np.array_equal(edge, fallback_edge, equal_nan=True)
+    )
+    spread = max(score_spread(transitions), *(score_spread(row) for row in emissions))
+    if spread > 700:
+        assert z_fell_back and marginals_fell_back
+    if not z_fell_back:
+        assert log_z == pytest.approx(exact_z, rel=1e-12, abs=1e-12)
+    if not marginals_fell_back:
+        np.testing.assert_allclose(node, exact_node, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(
+            edge.sum(axis=0), exact_edge.sum(axis=0), rtol=0, atol=1e-11
+        )
+    assert edge.shape == (n_steps - 1, n_labels, n_labels)
+
+
+@pytest.mark.parametrize("where", ["emission", "transition"])
+def test_nan_score_gives_nan_loss(where):
+    rng = np.random.default_rng(7)
+    emissions = rng.normal(size=(6, 4))
+    transitions = rng.normal(size=(4, 4))
+    if where == "emission":
+        emissions[3, 2] = np.nan
+    else:
+        transitions[1, 0] = np.nan
+    gold = [0, 1, 2, 3, 0, 1]
+    assert math.isnan(sequence_nll(emissions, transitions, gold))
+    d_emissions, d_transitions = nll_gradients(emissions, transitions, gold)
+    assert np.isnan(d_emissions).any() and np.isnan(d_transitions).any()
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")  # log(0) = -inf
+def test_unreachable_label_stays_a_zero():
+    """A column of -inf transitions makes a label unreachable after t = 0."""
+    emissions = np.zeros((4, 3))
+    transitions = np.zeros((3, 3))
+    transitions[:, 2] = -np.inf
+    node, edge = marginals(emissions, transitions)
+    np.testing.assert_allclose(node[0], 1 / 3, atol=1e-12)
+    np.testing.assert_array_equal(node[1:, 2], 0.0)
+    np.testing.assert_array_equal(edge[:, :, 2], 0.0)
+    assert log_partition(emissions, transitions) == pytest.approx(
+        math.log(3) + 3 * math.log(2), abs=1e-12
+    )
+    # the log-space loops give the same answer, not NaN
+    assert log_space_reference(emissions, transitions)[0] == pytest.approx(
+        math.log(3) + 3 * math.log(2), abs=1e-12
+    )

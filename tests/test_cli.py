@@ -95,6 +95,18 @@ def test_dump_features_position_out_of_range(sample_file, capsys):
     assert main(["dump-features", str(sample_file), "--sentence", "0", "--position", "99"]) == 1
 
 
+@pytest.mark.parametrize("dim", ["0", "-3"])
+def test_dump_features_out_of_range_dim_is_usage_error(tmp_path, sample_file, capsys, dim):
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("1 3\nthe 0.1 0.2 0.3\n", encoding="utf-8")
+    argv = ["dump-features", str(sample_file), "--sentence", "0", "--position", "0",
+            "--vectors", str(vectors), "--dim", dim]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: dim must be >= 1"]
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # train / tag / eval round trips
 

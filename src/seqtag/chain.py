@@ -15,7 +15,9 @@ an all -inf row) or when a nonzero entry of P, Q or a scaled vector is
 below exp(-170), a score spread above 170. Then no product of three
 factors underflows, so the scaled path loses no mass; -inf scores
 (forbidden bigrams) stay exact zeros, and NaN scores and extreme spreads
-get the log-space result. Viterbi runs in log space.
+get the log-space result. Viterbi runs in log space over a (to, from)
+copy of the transitions, so each step's argmax runs along contiguous
+rows and the step's max is read back from it with one take.
 
 sequence_nll and nll_gradients are the one training objective of the
 feature CRF and the neural CRF head alike.
@@ -125,19 +127,20 @@ def viterbi(emissions, transitions):
     """Best path and its score; ties go to the lower label index."""
     emissions, transitions = _check(emissions, transitions)
     n_steps, n_labels = emissions.shape
-    cols = np.arange(n_labels)
+    into = np.ascontiguousarray(transitions.T)  # (to, from)
+    row_starts = np.arange(0, n_labels * n_labels, n_labels)
+    candidates = np.empty_like(into)
     score = emissions[0].copy()
-    backpointers = np.zeros((n_steps, n_labels), dtype=int)
+    backpointers = np.zeros((n_steps, n_labels), dtype=np.intp)
     for t in range(1, n_steps):
-        candidates = score[:, None] + transitions  # (from, to)
-        best = np.argmax(candidates, axis=0)
-        backpointers[t] = best
-        score = emissions[t] + candidates[best, cols]
+        np.add(into, score, out=candidates)
+        best = candidates.argmax(axis=1, out=backpointers[t])
+        np.add(emissions[t], candidates.take(best + row_starts), out=score)
     best_last = int(np.argmax(score))
     best_score = float(score[best_last])
     path = [best_last]
-    for t in range(n_steps - 1, 0, -1):
-        path.append(int(backpointers[t, path[-1]]))
+    for pointers in backpointers[:0:-1].tolist():
+        path.append(pointers[path[-1]])
     path.reverse()
     return path, best_score
 

@@ -25,7 +25,7 @@ from seqtag.corpus import (
     tag_statistics,
     validate_bioes,
 )
-from seqtag.crf import CrfTrainConfig, tag_crf, train_crf
+from seqtag.crf import CrfTrainConfig, tag_crf, tag_crf_full, train_crf
 from seqtag.embeddings import (
     EmbeddingConfig,
     EmbeddingFormatError,
@@ -263,6 +263,9 @@ def _predict(model, kind, table, sentence):
     if isinstance(model, NeuralTagger):
         prediction = tag_neural(model, sentence)
         return prediction.ner, prediction.pos
+    if model.task == "joint":
+        ner, pos = zip(*tag_crf_full(model, sentence, table))
+        return list(ner), list(pos)
     return tag_crf(model, sentence, table), None
 
 

@@ -10,11 +10,21 @@ indexed once into CSR arrays (weight row, value and token position per
 entry); one scorer turns them into the (T, L) emission matrix, the chain
 module's sequence_nll and nll_gradients give the loss and its gradient
 on that matrix, and one scatter sums the gradient into weight rows. The
-trainer, emissions and nll_and_gradient all run this path.
+trainer, emissions and nll_and_gradient all run this path. Indexing maps
+a sentence's keys with one dict lookup each and no Python call per key:
+training registers unseen keys as new rows, other callers drop them.
+
+The trainer decays the state weights lazily (Bottou 2012, section 5.1):
+they are w_scale times the weight block, each mini-batch's L2 factor
+multiplies the scalar, and scores are scaled by it instead of the F x L
+block being multiplied. The scale is folded into the block at every best
+epoch, and before it would fall below _MIN_W_SCALE or when the factor is
+not positive. The L x L transitions decay densely.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -28,6 +38,8 @@ TASKS = ("single", "joint")
 
 _POS_ORDER = {p: i for i, p in enumerate(POS_TAGS)}
 _NER_ORDER = {l: i for i, l in enumerate(NER_LABELS)}
+# the trainer folds its weight scale into the weights before it falls below
+_MIN_W_SCALE = 1e-9
 
 
 @dataclass
@@ -111,23 +123,34 @@ def project_ner(label, task):
     return label if task == "single" else label[0]
 
 
-def _index_rows(lookup, features):
+class _Registry(dict):
+    """A feature index that gives an unseen key the next row on lookup."""
+
+    def __missing__(self, key):
+        row = self[key] = len(self)
+        return row
+
+
+def _index_rows(index, features):
     """A sentence's feature maps in CSR form: (rows, values, positions,
     starts). Entry i adds values[i] times weight row rows[i] to token
     positions[i]; entries run in token order, and starts holds the first
-    entry of each token that has one. lookup(key) gives a key's row, or
-    None to drop the key."""
-    rows, values, positions = [], [], []
-    for t, feats in enumerate(features):
-        for key, value in feats.items():
-            row = lookup(key)
-            if row is not None:
-                rows.append(row)
-                values.append(value)
-                positions.append(t)
-    positions = np.array(positions, dtype=np.intp)
+    entry of each token that has one. A _Registry index registers unseen
+    keys; any other index drops them."""
+    keys = list(itertools.chain.from_iterable(features))
+    if isinstance(index, _Registry):
+        found = map(index.__getitem__, keys)
+    else:
+        found = map(index.get, keys, itertools.repeat(-1))
+    rows = np.fromiter(found, dtype=np.intp, count=len(keys))
+    values = itertools.chain.from_iterable(map(dict.values, features))
+    values = np.fromiter(values, dtype=float, count=len(keys))
+    positions = np.repeat(np.arange(len(features)), list(map(len, features)))
+    known = rows >= 0
+    if not known.all():
+        rows, values, positions = rows[known], values[known], positions[known]
     starts = np.flatnonzero(np.diff(positions, prepend=-1))
-    return np.array(rows, dtype=np.intp), np.array(values, dtype=float), positions, starts
+    return rows, values, positions, starts
 
 
 def _scores(weights, csr, n_tokens):
@@ -135,16 +158,19 @@ def _scores(weights, csr, n_tokens):
     that have entries only, because it reads an empty segment as the
     entry at its start."""
     rows, values, positions, starts = csr
+    entries = weights[rows]
+    entries *= values[:, None]
     scores = np.zeros((n_tokens, weights.shape[1]))
-    scores[positions[starts]] = np.add.reduceat(values[:, None] * weights[rows], starts)
+    scores[positions[starts]] = np.add.reduceat(entries, starts)
     return scores
 
 
-def _nll_and_entry_gradients(weights, transitions, csr, gold_ids):
-    """Sentence NLL, the weight-row gradient of each CSR entry and the
-    transition gradient."""
+def _nll_and_entry_gradients(weights, transitions, csr, gold_ids, w_scale=1.0):
+    """Sentence NLL, the gradient on the state weights w_scale * weights
+    of each CSR entry and the transition gradient."""
     _, values, positions, _ = csr
     scores = _scores(weights, csr, len(gold_ids))
+    scores *= w_scale
     nll = chain.sequence_nll(scores, transitions, gold_ids)
     d_scores, d_transitions = chain.nll_gradients(scores, transitions, gold_ids)
     return nll, values[:, None] * d_scores[positions], d_transitions
@@ -155,7 +181,7 @@ def emissions(model, sentence, features):
     features present at t."""
     if len(features) != len(sentence):
         raise ValueError("need one feature map per token")
-    csr = _index_rows(model.feature_index.get, features)
+    csr = _index_rows(model.feature_index, features)
     return _scores(model.state_weights, csr, len(sentence))
 
 
@@ -176,7 +202,7 @@ def nll_and_gradient(model, sentence, gold, l2=0.0, features=None, embeddings=No
         raise ValueError("need one feature map and one gold label per token")
     gold_ids = [model.label_id(label) for label in gold]
     index = model.feature_index
-    csr = _index_rows(index.get, features)
+    csr = _index_rows(index, features)
     nll, entry_gradients, grad_trans = _nll_and_entry_gradients(
         model.state_weights, model.transitions, csr, gold_ids
     )
@@ -214,29 +240,30 @@ def train_crf(corpus, valid, config, task="single", embeddings=None, log=None):
     labels = single_task_labels() if task == "single" else joint_task_labels(corpus)
     label_index = {label: i for i, label in enumerate(labels)}
     n_labels = len(labels)
-    feature_index = {}
+    registry = _Registry()
 
-    def register(key):
-        return feature_index.setdefault(key, len(feature_index))
-
-    def prepare(sentence, lookup):
+    def prepare(sentence, index):
         feats = sentence_features(sentence, use_emb, embeddings)
         gold = [label_index.get(gold_label(t, task)) for t in sentence]
-        return None if None in gold else (_index_rows(lookup, feats), gold)
+        return None if None in gold else (_index_rows(index, feats), gold)
 
-    train_items = [prepare(sentence, register) for sentence in corpus]
+    train_items = [prepare(sentence, registry) for sentence in corpus]
     if None in train_items:
         raise ValueError("training sentence with label outside the label set")
     # every weight row belongs to a training feature, so the index is
-    # complete here and the weights are allocated once
-    valid_items = [prepare(sentence, feature_index.get) for sentence in valid]
+    # complete here and the weights are allocated once; the plain copy
+    # drops unseen keys, and the registry's table is freed before training
+    feature_index = dict(registry)
+    del registry
+    valid_items = [prepare(sentence, feature_index) for sentence in valid]
     valid_items = [item for item in valid_items if item is not None]
     weights = np.zeros((len(feature_index), n_labels))
+    w_scale = 1.0
     transitions = np.zeros((n_labels, n_labels))
     rng = np.random.default_rng(config.seed)
     n = len(train_items)
     order = np.arange(n)
-    decay = config.l2 / n
+    factor = 1.0 - config.learning_rate * config.l2 / n
 
     best_valid = np.inf
     best_params = (weights.copy(), transitions.copy())
@@ -254,7 +281,7 @@ def train_crf(corpus, valid, config, task="single", embeddings=None, log=None):
             for idx in batch:
                 csr, gold_ids = train_items[idx]
                 nll, entry_gradients, trans = _nll_and_entry_gradients(
-                    weights, transitions, csr, gold_ids
+                    weights, transitions, csr, gold_ids, w_scale
                 )
                 epoch_nll += nll
                 grad_trans += trans
@@ -264,17 +291,22 @@ def train_crf(corpus, valid, config, task="single", embeddings=None, log=None):
                 np.concatenate(batch_rows), np.concatenate(batch_gradients)
             )
             scale = config.learning_rate / len(batch)
-            if decay:
-                factor = 1.0 - config.learning_rate * decay
-                weights *= factor
+            if factor != 1.0:
                 transitions *= factor
-            weights[rows] -= scale * grad_rows
+                if factor > 0.0 and w_scale * factor >= _MIN_W_SCALE:
+                    w_scale *= factor
+                else:
+                    weights *= w_scale * factor
+                    w_scale = 1.0
+            weights[rows] -= (scale / w_scale) * grad_rows
             transitions -= scale * grad_trans
 
         train_loss = epoch_nll / n
         if valid_items:
             valid_loss = sum(
-                chain.sequence_nll(_scores(weights, csr, len(gold)), transitions, gold)
+                chain.sequence_nll(
+                    _scores(weights, csr, len(gold)) * w_scale, transitions, gold
+                )
                 for csr, gold in valid_items
             ) / len(valid_items)
         else:
@@ -291,6 +323,8 @@ def train_crf(corpus, valid, config, task="single", embeddings=None, log=None):
         check_finite_losses(epoch, train_loss, valid_loss)
         if valid_loss < best_valid:
             best_valid = valid_loss
+            weights *= w_scale
+            w_scale = 1.0
             best_params = (weights.copy(), transitions.copy())
             epochs_since_best = 0
         else:

@@ -5,20 +5,30 @@ Word context (previous/current/next surface, sentence-initial/final
 flags), character affixes of length 1-3 over Unicode scalar values,
 hyphen and digit indicators, and a decile position bucket. Feature
 vectors are sparse string-keyed maps; indicators carry value 1.0.
+
+sentence_features builds every position's map in one pass over the
+sentence's surfaces; extract_features returns one entry of it. Within
+a map, keys come in a fixed order (the order above, affixes as pre1,
+suf1, pre2, ...), which fixes the order in which training assigns
+feature rows.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from seqtag.embeddings import embed
 
 _ASCII_DIGITS = set("0123456789")
 # Myanmar digits occupy U+1040 through U+1049
 _MYANMAR_DIGITS = {chr(cp) for cp in range(0x1040, 0x104A)}
-_DIGITS = _ASCII_DIGITS | _MYANMAR_DIGITS
+_DIGITS = frozenset(_ASCII_DIGITS | _MYANMAR_DIGITS)
+# 10 * i // n for a position i < n
+_BUCKET_KEYS = tuple(f"pos_bucket={b}" for b in range(10))
 
 
 def has_digit(surface):
-    return any(ch in _DIGITS for ch in surface)
+    return not _DIGITS.isdisjoint(surface)
 
 
 def extract_features(sentence, i, use_embeddings=False, embeddings=None):
@@ -30,46 +40,51 @@ def extract_features(sentence, i, use_embeddings=False, embeddings=None):
     n = len(sentence)
     if not 0 <= i < n:
         raise IndexError(f"position {i} outside sentence of length {n}")
-    if use_embeddings and embeddings is None:
-        raise ValueError("use_embeddings requires an embedding table")
-
-    tokens = sentence.tokens
-    surface = tokens[i].surface
-    features = {f"w0={surface}": 1.0}
-
-    if i == 0:
-        features["BOS"] = 1.0
-        features["first_word"] = 1.0
-    else:
-        features[f"w-1={tokens[i - 1].surface}"] = 1.0
-    if i == n - 1:
-        features["EOS"] = 1.0
-        features["last_word"] = 1.0
-    else:
-        features[f"w+1={tokens[i + 1].surface}"] = 1.0
-
-    for k in (1, 2, 3):
-        if len(surface) >= k:
-            features[f"pre{k}={surface[:k]}"] = 1.0
-            features[f"suf{k}={surface[-k:]}"] = 1.0
-
-    if "-" in surface:
-        features["has_hyphen"] = 1.0
-    if has_digit(surface):
-        features["has_digit"] = 1.0
-
-    features[f"pos_bucket={10 * i // n}"] = 1.0
-
-    if use_embeddings:
-        vector = embed(embeddings, surface)
-        for k, component in enumerate(vector):
-            if component != 0.0:
-                features[f"emb{k}"] = float(component)
-    return features
+    return sentence_features(sentence, use_embeddings, embeddings)[i]
 
 
 def sentence_features(sentence, use_embeddings=False, embeddings=None):
-    return [
-        extract_features(sentence, i, use_embeddings, embeddings)
-        for i in range(len(sentence))
-    ]
+    """One sparse feature map per token, as extract_features gives it."""
+    if use_embeddings and embeddings is None:
+        raise ValueError("use_embeddings requires an embedding table")
+    surfaces = [token.surface for token in sentence.tokens]
+    n = len(surfaces)
+    last = n - 1
+    if use_embeddings:
+        emb_keys = [f"emb{k}" for k in range(embeddings.dim)]
+    maps = []
+    for i, surface in enumerate(surfaces):
+        features = {"w0=" + surface: 1.0}
+        if i == 0:
+            features["BOS"] = features["first_word"] = 1.0
+        else:
+            features["w-1=" + surfaces[i - 1]] = 1.0
+        if i == last:
+            features["EOS"] = features["last_word"] = 1.0
+        else:
+            features["w+1=" + surfaces[i + 1]] = 1.0
+        length = len(surface)
+        if length >= 3:
+            features.update({
+                "pre1=" + surface[0]: 1.0, "suf1=" + surface[-1]: 1.0,
+                "pre2=" + surface[:2]: 1.0, "suf2=" + surface[-2:]: 1.0,
+                "pre3=" + surface[:3]: 1.0, "suf3=" + surface[-3:]: 1.0,
+            })
+        elif length == 2:
+            features.update({
+                "pre1=" + surface[0]: 1.0, "suf1=" + surface[1]: 1.0,
+                "pre2=" + surface: 1.0, "suf2=" + surface: 1.0,
+            })
+        elif length == 1:
+            features["pre1=" + surface] = features["suf1=" + surface] = 1.0
+        if "-" in surface:
+            features["has_hyphen"] = 1.0
+        if not _DIGITS.isdisjoint(surface):
+            features["has_digit"] = 1.0
+        features[_BUCKET_KEYS[10 * i // n]] = 1.0
+        if use_embeddings:
+            vector = embed(embeddings, surface)
+            nonzero = np.flatnonzero(vector)
+            features.update(zip([emb_keys[k] for k in nonzero], vector[nonzero].tolist()))
+        maps.append(features)
+    return maps

@@ -30,6 +30,8 @@ FORMAT_VERSION = 1
 _KIND_F64 = 0
 _KIND_STRS = 1
 _KIND_TEXT = 2
+# reads up to this many bytes skip the check against the file size
+_SMALL_READ = 1 << 16
 
 
 class ModelFileError(Exception):
@@ -62,6 +64,10 @@ def _write_str(out, text):
 
 
 def _read_exact(src, n, what):
+    # a read of n bytes allocates them before it finds the end of the
+    # file, so a length field past the end is refused first
+    if n > _SMALL_READ and n > os.fstat(src.fileno()).st_size - src.tell():
+        raise TruncatedModelFileError(f"file ends inside {what}")
     data = src.read(n)
     if len(data) != n:
         raise TruncatedModelFileError(f"file ends inside {what}")
@@ -111,8 +117,6 @@ def _read_block(src):
             struct.unpack("<Q", _read_exact(src, 8, what))[0] for _ in range(ndim)
         )
         size = 8 * math.prod(shape)  # a Python int: no overflow
-        if size > os.fstat(src.fileno()).st_size - src.tell():  # before read() allocates it
-            raise TruncatedModelFileError(f"file ends inside {what}")
         data = _read_exact(src, size, what)
         try:
             payload = np.frombuffer(data, dtype="<f8").reshape(shape).copy()

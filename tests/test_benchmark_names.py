@@ -6,10 +6,16 @@ import ast
 import importlib
 from pathlib import Path
 
+from seqtag.features import sentence_features
+
 SPANS = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
 
-# called directly by benchmarks/workloads.py (neural_scores)
-CALLED = [("seqtag.neural.lstm", "bilstm_encode"), ("seqtag.embeddings", "embed")]
+# called directly by benchmarks/workloads.py (neural_scores, crf_scores)
+CALLED = [
+    ("seqtag.neural.lstm", "bilstm_encode"),
+    ("seqtag.embeddings", "embed"),
+    ("seqtag.features", "sentence_features"),
+]
 
 
 def wrapped_names():
@@ -31,3 +37,11 @@ def test_benchmark_names_resolve():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+def test_sentence_features_gives_one_dict_per_token(sample_sentence):
+    # crf_scores iterates the returned maps' items() token by token
+    maps = sentence_features(sample_sentence)
+    assert isinstance(maps, list)
+    assert len(maps) == len(sample_sentence)
+    assert all(type(feats) is dict for feats in maps)

@@ -247,6 +247,52 @@ def test_nll_gradients_reject_gold_length_mismatch():
 
 
 # ---------------------------------------------------------------------------
+# viterbi against a step-by-step transcription
+
+
+def reference_viterbi(emissions, transitions):
+    """Viterbi over (from, to) candidate columns, one step at a time."""
+    n_steps, n_labels = emissions.shape
+    score = emissions[0].copy()
+    backpointers = np.zeros((n_steps, n_labels), dtype=int)
+    for t in range(1, n_steps):
+        candidates = score[:, None] + transitions
+        best = np.argmax(candidates, axis=0)
+        backpointers[t] = best
+        score = emissions[t] + candidates[best, np.arange(n_labels)]
+    best_last = int(np.argmax(score))
+    path = [best_last]
+    for t in range(n_steps - 1, 0, -1):
+        path.append(int(backpointers[t, path[-1]]))
+    return path[::-1], float(score[best_last])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the NaN cases
+@settings(max_examples=200, deadline=None)
+@given(
+    n_steps=st.integers(1, 9),
+    n_labels=st.integers(1, 6),
+    forbidden=st.sampled_from([0.0, 0.3, 1.0]),
+    nan=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_steps=1, n_labels=4, forbidden=0.0, nan=False, seed=0)
+@example(n_steps=6, n_labels=5, forbidden=1.0, nan=False, seed=1)  # every path -inf
+def test_viterbi_matches_step_by_step_reference(n_steps, n_labels, forbidden, nan, seed):
+    # integer-valued scores in a small range: many ties
+    rng = np.random.default_rng(seed)
+    emissions = rng.integers(-2, 3, size=(n_steps, n_labels)).astype(float)
+    transitions = rng.integers(-2, 3, size=(n_labels, n_labels)).astype(float)
+    transitions[rng.random(transitions.shape) < forbidden] = -np.inf
+    if nan:
+        emissions[rng.integers(n_steps), rng.integers(n_labels)] = np.nan
+    path, score = viterbi(emissions, transitions)
+    expected_path, expected_score = reference_viterbi(emissions, transitions)
+    assert path == expected_path
+    assert score == expected_score or (math.isnan(score) and math.isnan(expected_score))
+
+
+# ---------------------------------------------------------------------------
 # scaled forward-backward against the log-space loops
 
 EXTENDED = np.finfo(np.longdouble).eps < np.finfo(float).eps

@@ -6,6 +6,7 @@ from synthgen import make_corpus
 
 from seqtag.cli import main
 from seqtag.corpus import write_conll
+from seqtag.crf import tag_crf_full
 from seqtag.embeddings import embed
 from seqtag.modelfile import load_model
 
@@ -204,6 +205,24 @@ def test_joint_neural_tag_emits_pos_column(tmp_path, capsys):
     out = capsys.readouterr().out
     first = out.strip().split("\n")[0].split("\t")
     assert len(first) == 3  # surface, ner, pos
+
+
+def test_joint_crf_tag_emits_pos_column(tmp_path, capsys):
+    corpus = make_corpus(10, seed=31)
+    train = write_corpus(tmp_path, corpus, "train.conll")
+    model_out = tmp_path / "joint.bin"
+    config = crf_config(tmp_path, train, model_out, task="joint", epochs=5)
+    assert main(["train", str(config)]) == 0
+    capsys.readouterr()
+    assert main(["tag", str(model_out), str(train)]) == 0
+    rows = [l.split("\t") for l in capsys.readouterr().out.split("\n") if l]
+    model, _, _, _ = load_model(model_out)
+    expected = [
+        [token.surface, str(ner), pos]
+        for sentence in corpus
+        for (ner, pos), token in zip(tag_crf_full(model, sentence), sentence)
+    ]
+    assert rows == expected  # surface, ner, pos
 
 
 def test_finetuned_pretrained_joint_cycle(tmp_path, capsys):

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from synthgen import make_corpus
 
-from seqtag import NonFiniteLossError
+from seqtag import NonFiniteLossError, crf
 from seqtag.corpus import NER_LABELS, NerLabel, Sentence, Token, parse_conll
 from seqtag.crf import (
     CrfModel,
@@ -122,6 +122,58 @@ def test_emissions_ignores_unknown_features():
     base = emissions(model, sent, [{"f0": 1.0}])
     with_unknown = emissions(model, sent, [{"f0": 1.0, "never-seen": 5.0}])
     np.testing.assert_array_equal(base, with_unknown)
+
+
+def reference_index_rows(lookup, features):
+    """CSR arrays built entry by entry; lookup(key) gives a row, or None
+    to drop the key."""
+    rows, values, positions = [], [], []
+    for t, feats in enumerate(features):
+        for key, value in feats.items():
+            row = lookup(key)
+            if row is not None:
+                rows.append(row)
+                values.append(value)
+                positions.append(t)
+    positions = np.array(positions, dtype=np.intp)
+    starts = np.flatnonzero(np.diff(positions, prepend=-1))
+    return np.array(rows, dtype=np.intp), np.array(values, dtype=float), positions, starts
+
+
+def assert_same_csr(got, expected):
+    assert len(got) == len(expected) == 4
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    # k0..k5 have rows, u0..u2 do not
+    token_keys=st.lists(
+        st.lists(st.sampled_from(["k0", "k1", "k2", "k3", "k4", "k5", "u0", "u1", "u2"]),
+                 unique=True),
+        min_size=1,
+        max_size=8,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(token_keys=[["u0", "u1"], ["k2", "u2"], ["u2"]], seed=0)  # all-unknown tokens
+@example(token_keys=[["u0"], ["u1", "u2"]], seed=1)  # an all-unknown sentence
+@example(token_keys=[[], ["k0"], []], seed=2)  # empty maps
+def test_index_rows_match_entry_by_entry_reference(token_keys, seed):
+    rng = np.random.default_rng(seed)
+    features = [{key: float(rng.uniform(-2, 2)) for key in keys} for keys in token_keys]
+    index = {f"k{i}": int(row) for i, row in enumerate(rng.permutation(6))}
+    assert_same_csr(crf._index_rows(index, features), reference_index_rows(index.get, features))
+
+    # training registers unseen keys in order of first sight
+    registry, expected_index = crf._Registry(index), dict(index)
+    expected = reference_index_rows(
+        lambda key: expected_index.setdefault(key, len(expected_index)), features
+    )
+    assert_same_csr(crf._index_rows(registry, features), expected)
+    assert list(registry.items()) == list(expected_index.items())
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +419,48 @@ def test_train_crf_steps_follow_nll_and_gradient(l2):
     np.testing.assert_allclose(trained.transitions, hand.transitions, rtol=0, atol=1e-12)
     valid_nll = np.mean([nll_and_gradient(hand, s, g)[0] for s, g in zip(sentences, golds)])
     assert trained.trained_on["best_valid_nll"] == pytest.approx(valid_nll, abs=1e-12)
+
+
+@pytest.mark.parametrize("l2", [19.8, 20.0, 40.0])
+def test_lazy_decay_matches_dense_decay(l2):
+    # learning_rate * l2 / n is 0.99, 1 and 2: the weight scale falls
+    # below its floor within an epoch and is folded into the weights, or
+    # the factor is 0 or negative and is applied densely. A replay that
+    # decays the whole weight block every step gives the same weights.
+    corpus = make_corpus(6, seed=13)
+    sentences = corpus.sentences
+    learning_rate, epochs = 0.3, 2
+    factor = 1.0 - learning_rate * l2 / len(sentences)
+    assert factor <= 0.0 or factor ** len(sentences) < crf._MIN_W_SCALE
+    config = CrfTrainConfig(
+        l2=l2, learning_rate=learning_rate, epochs=epochs, patience=epochs,
+        batch_size=1, shuffle=False,
+    )
+    log = []
+    trained = train_crf(corpus, corpus, config, task="joint", log=log)
+
+    hand = CrfModel(
+        labels=trained.labels,
+        task="joint",
+        feature_index=trained.feature_index,
+        state_weights=np.zeros_like(trained.state_weights),
+        transitions=np.zeros_like(trained.transitions),
+    )
+    golds = [[gold_label(t, "joint") for t in s] for s in sentences]
+    snapshots = []
+    for _ in range(epochs):
+        for sentence, gold in zip(sentences, golds):
+            grad_map, grad_trans = nll_and_gradient(hand, sentence, gold)[1]
+            hand.state_weights *= factor
+            hand.transitions *= factor
+            for key, grad in grad_map.items():
+                hand.state_weights[hand.feature_index[key]] -= learning_rate * grad
+            hand.transitions -= learning_rate * grad_trans
+        snapshots.append((hand.state_weights.copy(), hand.transitions.copy()))
+
+    best_weights, best_transitions = snapshots[int(np.argmin([r["valid_loss"] for r in log]))]
+    np.testing.assert_allclose(trained.state_weights, best_weights, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(trained.transitions, best_transitions, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -2,6 +2,7 @@ import copy
 import io
 import json
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -146,6 +147,20 @@ def test_truncated_file_distinct_error(tmp_path, crf_model):
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(TruncatedModelFileError):
         load_model(path)
+
+
+def test_string_length_past_the_end_rejected_before_reading(tmp_path):
+    # the model kind claims 2**28 bytes in a file of 15
+    path = tmp_path / "len.bin"
+    path.write_bytes(MAGIC + struct.pack("<I", FORMAT_VERSION) + struct.pack("<I", 2**28) + b"crf")
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedModelFileError, match="model kind"):
+            load_model(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_trailing_bytes_rejected(tmp_path, crf_model):

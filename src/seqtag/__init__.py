@@ -25,6 +25,18 @@ def check_finite_losses(epoch, train_loss, valid_loss):
         )
 
 
+def check_finite_gradients(epoch, gradients):
+    """Raise NonFiniteLossError unless every gradient array is finite.
+
+    One sum per array: a NaN or infinite entry makes the sum non-finite.
+    Only then, as finite entries may also overflow the sum, are the
+    entries checked one by one.
+    """
+    for grad in gradients:
+        if not math.isfinite(grad.sum()) and not np.isfinite(grad).all():
+            raise NonFiniteLossError(f"epoch {epoch}: gradient is not finite")
+
+
 def sum_rows(rows, entry_gradients):
     """Entry gradients summed per row: (distinct rows, ascending; sums).
     Entries of one row are added in their given order."""

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from seqtag import chain, check_finite_losses, sum_rows
+from seqtag import chain, check_finite_gradients, check_finite_losses, sum_rows
 from seqtag.corpus import NER_LABELS, POS_TAGS
 from seqtag.features import sentence_features
 
@@ -229,7 +229,8 @@ def train_crf(corpus, valid, config, task="single", embeddings=None, log=None):
     the best validation epoch. Validation sentences with labels outside
     the training label set (possible for joint product labels) are left
     out of the validation score. Raises NonFiniteLossError when an
-    epoch's training or validation loss is not finite.
+    epoch's training or validation loss, or a batch's gradient, is not
+    finite.
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
@@ -290,6 +291,7 @@ def train_crf(corpus, valid, config, task="single", embeddings=None, log=None):
             rows, grad_rows = sum_rows(
                 np.concatenate(batch_rows), np.concatenate(batch_gradients)
             )
+            check_finite_gradients(epoch, (grad_rows, grad_trans))
             scale = config.learning_rate / len(batch)
             if factor != 1.0:
                 transitions *= factor

@@ -11,7 +11,7 @@ from seqtag.neural.heads import (
     joint_loss,
     softmax_head_loss,
 )
-from seqtag.neural.lstm import LstmParams, bilstm_encode, lstm_cell
+from seqtag.neural.lstm import LstmParams, bilstm_encode
 from seqtag.neural.tagger import (
     Architecture,
     Head,
@@ -42,7 +42,6 @@ __all__ = [
     "crf_head_loss",
     "format_training_log",
     "joint_loss",
-    "lstm_cell",
     "sentence_loss",
     "softmax_head_loss",
     "tag_neural",

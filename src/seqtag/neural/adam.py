@@ -42,13 +42,22 @@ def adam_step(params, grads, state, learning_rate=0.001, beta1=0.9, beta2=0.999,
         if param.shape != grad.shape:
             raise ValueError(f"gradient shape mismatch for {name!r}")
         m, v = state.slot(name, param)
+        # the textbook formula's operations in its order, through two
+        # scratch arrays
+        scratch = np.multiply(1.0 - beta1, grad)
         m *= beta1
-        m += (1.0 - beta1) * grad
+        m += scratch
+        np.multiply(grad, grad, out=scratch)
+        scratch *= 1.0 - beta2
         v *= beta2
-        v += (1.0 - beta2) * grad**2
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        param -= learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)
+        v += scratch
+        np.divide(m, 1.0 - beta1**t, out=scratch)  # m_hat
+        scratch *= learning_rate
+        denominator = np.divide(v, 1.0 - beta2**t)  # v_hat
+        np.sqrt(denominator, out=denominator)
+        denominator += epsilon
+        scratch /= denominator
+        param -= scratch
     return params, state
 
 

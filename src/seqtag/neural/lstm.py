@@ -1,8 +1,11 @@
-"""LSTM cell, bidirectional encoding, and backpropagation through time.
+"""LSTM scans, bidirectional encoding, and backpropagation through time.
 
 Gate weights are stacked row-wise in (input, forget, output, candidate)
 order: W is (4H, D), U is (4H, H), b is (4H,). Scans start from zero
-hidden and cell states.
+hidden and cell states. A scan takes its input pre-activations
+xs @ W.T + b ready-made and its backward pass returns only the gate
+gradients, so the caller forms the input and weight GEMMs once over a
+whole mini-batch of stacked sentences.
 """
 
 from __future__ import annotations
@@ -52,60 +55,51 @@ class LstmParams:
         return cls(w, u, b)
 
 
-def lstm_cell(x, h_prev, c_prev, params):
-    """One step: gates from x and h_prev, new cell and hidden states."""
-    h = params.hidden_size
-    if x.shape != (params.input_size,) or h_prev.shape != (h,) or c_prev.shape != (h,):
-        raise ValueError("lstm_cell input shapes do not match the parameters")
-    z = params.W @ x + params.U @ h_prev + params.b
-    i = sigmoid(z[:h])
-    f = sigmoid(z[h : 2 * h])
-    o = sigmoid(z[2 * h : 3 * h])
-    g = np.tanh(z[3 * h :])
-    c = f * c_prev + i * g
-    return o * np.tanh(c), c
+def lstm_forward(zx, params):
+    """Scan the input pre-activations zx = xs @ W.T + b, (T, 4H), from
+    zero states; returns hidden states and the cache needed for the
+    backward pass.
 
-
-def lstm_forward(xs, params):
-    """Scan a (T, D) input from zero states; returns hidden states and
-    the cache needed for the backward pass.
-
-    The input products for all steps are one GEMM; only U @ h stays in
-    the loop. The cache holds stacked (T, .) arrays: inputs, previous
-    hidden and cell states, activated gates (i|f|o|g) and tanh(c).
+    The input products are formed by the caller, one GEMM over as many
+    rows as it likes; only U @ h stays in the loop. The gates are
+    activated in place in the rows of zx, which may be a reversed view.
+    The cache holds (T, .) arrays: previous hidden and cell states,
+    activated gates (i|f|o|g) and tanh(c).
     """
-    n_steps = xs.shape[0]
+    n_steps = zx.shape[0]
     h_size = params.hidden_size
-    zx = xs @ params.W.T + params.b
-    gates = np.empty((n_steps, 4 * h_size))
-    sig = gates[:, : 3 * h_size]
+    if zx.shape != (n_steps, 4 * h_size):
+        raise ValueError("input pre-activations must be (T, 4*H)")
+    gates = zx  # activated in place
     i, f, o, g = np.split(gates, 4, axis=1)  # (T, H) views
     hs = np.zeros((n_steps + 1, h_size))
     cs = np.zeros((n_steps + 1, h_size))
     tanh_cs = np.empty((n_steps, h_size))
     for t in range(n_steps):
-        z = zx[t] + params.U @ hs[t]
-        sig[t] = sigmoid(z[: 3 * h_size])
-        g[t] = np.tanh(z[3 * h_size :])
+        z = gates[t]
+        z += params.U @ hs[t]
+        z[: 3 * h_size] = sigmoid(z[: 3 * h_size])
+        np.tanh(g[t], out=g[t])
         cs[t + 1] = f[t] * cs[t] + i[t] * g[t]
         tanh_cs[t] = np.tanh(cs[t + 1])
         hs[t + 1] = o[t] * tanh_cs[t]
-    return hs[1:], (xs, hs[:-1], cs[:-1], gates, tanh_cs)
+    return hs[1:], (hs[:-1], cs[:-1], gates, tanh_cs)
 
 
 def lstm_backward(cache, params, dhs):
-    """BPTT given upstream gradients on every hidden state.
+    """BPTT given upstream gradients on every hidden state; returns the
+    (T, 4H) gate gradients DZ.
 
-    Only dh_next = U^T dz stays in the loop; the parameter gradients are
-    one GEMM each over the (T, 4H) gate gradients DZ. Returns DZ (the
-    input gradients are DZ @ W) and a dict with keys "W", "U", "b".
+    Only dh_next = U^T dz stays in the loop. The caller forms the
+    parameter gradients (DZ^T xs, DZ^T h_prev, sum of DZ) and the input
+    gradients DZ @ W, over as many scans as it stacks.
     """
-    xs, h_prev, c_prev, gates, tanh_cs = cache
-    n_steps = xs.shape[0]
+    h_prev, c_prev, gates, tanh_cs = cache
+    n_steps = gates.shape[0]
     h_size = params.hidden_size
     i, f, o, g = np.split(gates, 4, axis=1)
-    # dz_t = [dc, dc, dh, dc] * local[t], with the gate derivatives folded in
-    local = np.concatenate(
+    # the gate derivatives; step t multiplies row t by [dc, dc, dh, dc]
+    dz = np.concatenate(
         [
             g * i * (1.0 - i),
             c_prev * f * (1.0 - f),
@@ -115,23 +109,21 @@ def lstm_backward(cache, params, dhs):
         axis=1,
     )
     dc_from_dh = o * (1.0 - tanh_cs**2)
-    dz = np.empty((n_steps, 4 * h_size))
     dh_next = np.zeros(h_size)
     dc_next = np.zeros(h_size)
     for t in range(n_steps - 1, -1, -1):
         dh = dhs[t] + dh_next
         dc = dh * dc_from_dh[t] + dc_next
-        np.multiply(np.concatenate((dc, dc, dh, dc)), local[t], out=dz[t])
+        dz[t] *= np.concatenate((dc, dc, dh, dc))
         dc_next = dc * f[t]
         dh_next = dz[t] @ params.U
-    grads = {"W": dz.T @ xs, "U": dz.T @ h_prev, "b": dz.sum(axis=0)}
-    return dz, grads
+    return dz
 
 
 def bilstm_encode(xs, fwd, bwd):
     """Concatenate forward and reversed-scan hidden states per position."""
     if xs.ndim != 2 or xs.shape[0] < 1:
         raise ValueError("need a (T, D) input with T >= 1")
-    hs_f, _ = lstm_forward(xs, fwd)
-    hs_b, _ = lstm_forward(xs[::-1], bwd)
+    hs_f, _ = lstm_forward(xs @ fwd.W.T + fwd.b, fwd)
+    hs_b, _ = lstm_forward((xs @ bwd.W.T + bwd.b)[::-1], bwd)
     return np.concatenate([hs_f, hs_b[::-1]], axis=1)

@@ -2,13 +2,16 @@
 
 One shared encoder feeds one head per task ("ner", plus "pos" for joint
 runs); each head is an independent projection ending in softmax or CRF
-inference. Training, validation and tagging run one sentence path,
-_encode: lookup, embeddings.compose, dropout and both LSTM scans.
-Per-sentence forward/backward passes are accumulated over a mini-batch
-(no padding); embedding gradients are (row, gradient) entry arrays per
-use of a row, summed per row once per batch. Parameters are optimized
-with Adam, training is early-stopped on validation loss, and the best
-epoch's parameters are restored.
+inference. Training, validation and tagging run one path, _encode, over
+a list of sentences (a mini-batch, or one sentence): lookup,
+embeddings.compose, every sentence's dropout masks drawn before any
+scan, one input GEMM per direction over the stacked rows (no padding),
+and the per-sentence LSTM scans. Head losses and BPTT run per sentence;
+every dense gradient is formed once per batch from the stacked rows,
+with no per-sentence accumulation. Embedding gradients are (row,
+gradient) entry arrays per use of a row, summed per row once per batch.
+Parameters are optimized with Adam, training is early-stopped on
+validation loss, and the best epoch's parameters are restored.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from seqtag import chain, check_finite_losses, sum_rows
+from seqtag import chain, check_finite_gradients, check_finite_losses, sum_rows
 from seqtag.corpus import NER_LABELS, POS_TAGS
 from seqtag.embeddings import EmbeddingConfig, compose, init_random, ngram_bucket_ids
 from seqtag.neural.adam import AdamState, adam_step, adam_step_rows
@@ -193,26 +196,49 @@ def _lookup(table, word, cache):
     return info
 
 
-def _dropout(array, rate, rng):
-    if rate == 0.0:
-        return array, None
-    mask = dropout_mask(array.shape, rate, rng)
-    return array * mask, mask
+def _encode(model, sentences, cache, rate, rng):
+    """Encoded states (N, 2H) of the sentences, stacked in order (N is
+    their total length), with dropout at rate on the composed inputs and
+    then on the states.
 
-
-def _encode(model, sentence, cache, rate, rng):
-    """Encoded states (T, 2H) of one sentence, with dropout at rate on the
-    composed inputs and then on the states; returns them with what BPTT
-    needs: the lookups, both masks (None at rate 0) and both scan caches."""
+    Each sentence's input mask and state mask are drawn in turn, before
+    any scan. The input pre-activations X @ W.T + b are one GEMM per
+    direction; the scans run per sentence on row slices of them, the
+    backward one on reversed views. Returns the states and the row
+    bounds of each sentence, with what BPTT needs: the lookups, the
+    stacked inputs X, both stacked masks (None at rate 0) and each
+    sentence's two scan caches.
+    """
     table = model.embedding
-    infos = [_lookup(table, token.surface, cache) for token in sentence]
-    xs, mask_e = _dropout(
-        np.stack([compose(table, idx, buckets) for idx, buckets in infos]), rate, rng
-    )
-    hs_f, cache_f = lstm_forward(xs, model.forward_lstm)
-    hs_b, cache_b = lstm_forward(xs[::-1], model.backward_lstm)
-    encoded, mask_h = _dropout(np.concatenate([hs_f, hs_b[::-1]], axis=1), rate, rng)
-    return encoded, (infos, mask_e, mask_h, cache_f, cache_b)
+    h = model.hidden_size
+    fwd, bwd = model.forward_lstm, model.backward_lstm
+    infos = [_lookup(table, token.surface, cache) for sentence in sentences for token in sentence]
+    xs = np.stack([compose(table, idx, buckets) for idx, buckets in infos])
+    ends = np.cumsum([len(sentence) for sentence in sentences]).tolist()
+    spans = list(zip([0] + ends[:-1], ends))
+    mask_e = mask_h = None
+    if rate != 0.0:
+        mask_e = np.empty_like(xs)
+        mask_h = np.empty((len(xs), 2 * h))
+        for a, b in spans:
+            mask_e[a:b] = dropout_mask((b - a, table.dim), rate, rng)
+            mask_h[a:b] = dropout_mask((b - a, 2 * h), rate, rng)
+        xs *= mask_e
+    zx_f = xs @ fwd.W.T
+    zx_f += fwd.b
+    zx_b = xs @ bwd.W.T
+    zx_b += bwd.b
+    encoded = np.empty((len(xs), 2 * h))
+    scans = []
+    for a, b in spans:
+        hs_f, cache_f = lstm_forward(zx_f[a:b], fwd)
+        hs_b, cache_b = lstm_forward(zx_b[a:b][::-1], bwd)
+        encoded[a:b, :h] = hs_f
+        encoded[a:b, h:] = hs_b[::-1]
+        scans.append((cache_f, cache_b))
+    if mask_h is not None:
+        encoded *= mask_h
+    return encoded, spans, (infos, xs, mask_e, mask_h, scans)
 
 
 def _row_entries(infos, dxs):
@@ -245,65 +271,77 @@ def _gold_ids(sentence, task):
     return gold
 
 
-def _sentence_pass(model, sentence, joint_weight, training, rng, cache,
-                   compute_grads, gold=None):
-    """Loss, and when asked the dense gradients and, for a trainable
-    table, (lookups, input gradients) of one sentence."""
-    rate = model.dropout_rate if training else 0.0
-    encoded, (infos, mask_e, mask_h, cache_f, cache_b) = _encode(
-        model, sentence, cache, rate, rng
-    )
+def _batch_pass(model, sentences, joint_weight, training, rng, cache,
+                compute_grads, gold=None):
+    """Summed loss of the sentences, and when asked the summed dense
+    gradients and, for a trainable table, (lookups, input gradients).
 
-    if gold is None:
-        gold = _gold_ids(sentence, model.task)
-    losses = {}
-    head_ctx = {}
-    for name, head in model.heads.items():
-        scores = head.scores(encoded)
-        if head.kind == "softmax":
-            losses[name], probs = softmax_head_loss(scores, gold[name])
-            head_ctx[name] = (scores, probs)
-        else:
-            losses[name] = crf_head_loss(scores, head.transitions, gold[name])
-            head_ctx[name] = (scores, None)
-    total = (
-        losses["ner"]
-        if model.task == "single"
-        else joint_loss(losses["ner"], losses["pos"], joint_weight)
+    Losses and the head and scan backward passes run per sentence; every
+    dense gradient is one GEMM or sum over the stacked rows of the batch.
+    """
+    rate = model.dropout_rate if training else 0.0
+    encoded, spans, (infos, xs, mask_e, mask_h, scans) = _encode(
+        model, sentences, cache, rate, rng
     )
+    if gold is None:
+        gold = [_gold_ids(sentence, model.task) for sentence in sentences]
+    scores = {name: head.scores(encoded) for name, head in model.heads.items()}
+    d_scores = {name: np.empty_like(s) for name, s in scores.items()} if compute_grads else None
+    d_trans = {}
+    total = 0.0
+    for (a, b), sentence_gold in zip(spans, gold):
+        losses = {}
+        for name, head in model.heads.items():
+            sentence_scores, ids = scores[name][a:b], sentence_gold[name]
+            scale = 1.0 if name == "ner" else joint_weight
+            if head.kind == "softmax":
+                losses[name], probs = softmax_head_loss(sentence_scores, ids)
+                if compute_grads:
+                    d = softmax_head_backward(probs, ids)
+            else:
+                losses[name] = crf_head_loss(sentence_scores, head.transitions, ids)
+                if compute_grads:
+                    d, trans = crf_head_backward(sentence_scores, head.transitions, ids)
+                    d_trans[name] = d_trans.get(name, 0.0) + scale * trans
+            if compute_grads:
+                np.multiply(scale, d, out=d_scores[name][a:b])
+        total += (
+            losses["ner"]
+            if model.task == "single"
+            else joint_loss(losses["ner"], losses["pos"], joint_weight)
+        )
     if not compute_grads:
         return total, None, None
 
-    grads = {}
-    d_encoded = np.zeros_like(encoded)
-    for name, head in model.heads.items():
-        scale = 1.0 if name == "ner" else joint_weight
-        scores, probs = head_ctx[name]
-        if head.kind == "softmax":
-            d_scores = softmax_head_backward(probs, gold[name])
-        else:
-            d_scores, d_trans = crf_head_backward(scores, head.transitions, gold[name])
-            grads[f"head.{name}.transitions"] = scale * d_trans
-        d_scores = scale * d_scores
-        grads[f"head.{name}.weight"] = d_scores.T @ encoded
-        grads[f"head.{name}.bias"] = d_scores.sum(axis=0)
-        d_encoded += d_scores @ head.weight
-
+    grads = {f"head.{name}.transitions": d for name, d in d_trans.items()}
+    for name, d in d_scores.items():
+        grads[f"head.{name}.weight"] = d.T @ encoded
+        grads[f"head.{name}.bias"] = d.sum(axis=0)
+    d_encoded = sum(d_scores[name] @ head.weight for name, head in model.heads.items())
     if mask_h is not None:
-        d_encoded = d_encoded * mask_h
+        d_encoded *= mask_h
+
     h = model.hidden_size
-    dz_f, lstm_grads_f = lstm_backward(cache_f, model.forward_lstm, d_encoded[:, :h])
-    dz_b, lstm_grads_b = lstm_backward(cache_b, model.backward_lstm, d_encoded[::-1, h:])
-    for key, value in lstm_grads_f.items():
-        grads[f"fwd.{key}"] = value
-    for key, value in lstm_grads_b.items():
-        grads[f"bwd.{key}"] = value
+    fwd, bwd = model.forward_lstm, model.backward_lstm
+    # gate gradients and previous hidden states of both scans, in token order
+    dz_f = np.empty((len(xs), 4 * h))
+    dz_b = np.empty((len(xs), 4 * h))
+    for (a, b), (cache_f, cache_b) in zip(spans, scans):
+        dz_f[a:b] = lstm_backward(cache_f, fwd, d_encoded[a:b, :h])
+        dz_b[a:b] = lstm_backward(cache_b, bwd, d_encoded[a:b, h:][::-1])[::-1]
+    h_prev_f = np.concatenate([cache_f[0] for cache_f, _ in scans])
+    h_prev_b = np.concatenate([cache_b[0][::-1] for _, cache_b in scans])
+    for prefix, dz, h_prev in (("fwd", dz_f, h_prev_f), ("bwd", dz_b, h_prev_b)):
+        grads[f"{prefix}.W"] = dz.T @ xs
+        grads[f"{prefix}.U"] = dz.T @ h_prev
+        grads[f"{prefix}.b"] = dz.sum(axis=0)
 
     if not model.embedding.trainable:
         return total, grads, None
-    dxs = dz_f @ model.forward_lstm.W + (dz_b @ model.backward_lstm.W)[::-1]
+    dxs = dz_f @ fwd.W
+    dxs += dz_b @ bwd.W
     if mask_e is not None:
-        dxs = dxs * mask_e
+        dxs *= mask_e
     return total, grads, (infos, dxs)
 
 
@@ -321,40 +359,27 @@ def batch_loss_and_gradients(model, batch, joint_weight=1.0, training=False,
         raise ValueError("training with dropout needs an rng")
     if cache is None:
         cache = {}
-    total_loss = 0.0
-    total_grads = {}
-    infos, dxs = [], []
-    for s_idx, sentence in enumerate(batch):
-        loss, grads, emb = _sentence_pass(
-            model, sentence, joint_weight, training, rng, cache,
-            compute_grads=True, gold=None if gold is None else gold[s_idx],
-        )
-        total_loss += loss
-        for name, grad in grads.items():
-            if name in total_grads:
-                total_grads[name] += grad
-            else:
-                total_grads[name] = grad
-        if emb is not None:
-            infos.extend(emb[0])
-            dxs.append(emb[1])
+    total_loss, grads, emb = _batch_pass(
+        model, batch, joint_weight, training, rng, cache, compute_grads=True, gold=gold
+    )
     n = len(batch)
-    for grad in total_grads.values():
+    for grad in grads.values():
         grad /= n
-    if not model.embedding.trainable:
-        return total_loss / n, total_grads, None
+    if emb is None:
+        return total_loss / n, grads, None
     emb_grads = {}
-    for slot, (rows, entry_grads) in _row_entries(infos, np.concatenate(dxs)).items():
+    for slot, (rows, entry_grads) in _row_entries(*emb).items():
         if len(rows):
             rows, sums = sum_rows(rows, entry_grads)
             emb_grads[slot] = (rows, sums * (1.0 / n))
-    return total_loss / n, total_grads, emb_grads
+    return total_loss / n, grads, emb_grads
 
 
 def sentence_loss(model, sentence, joint_weight=1.0, gold=None):
     """Evaluation-mode loss of one sentence (no dropout)."""
-    loss, _, _ = _sentence_pass(
-        model, sentence, joint_weight, False, None, {}, compute_grads=False, gold=gold
+    loss, _, _ = _batch_pass(
+        model, [sentence], joint_weight, False, None, {}, compute_grads=False,
+        gold=None if gold is None else [gold],
     )
     return loss
 
@@ -407,7 +432,7 @@ def train_neural(train, valid, arch, config, embeddings=None,
     Early stopping watches the validation loss (combined loss for joint
     runs) and the best epoch's parameters are restored before returning.
     Raises NonFiniteLossError when an epoch's training or validation
-    loss is not finite.
+    loss, or a batch's gradient, is not finite.
     """
     if len(train) == 0:
         raise ValueError("empty training corpus")
@@ -472,6 +497,9 @@ def train_neural(train, valid, arch, config, embeddings=None,
                 cache=lookup_cache,
             )
             epoch_loss += loss * len(batch)
+            check_finite_gradients(
+                epoch, [*grads.values(), *(grad for _, grad in (emb_grads or {}).values())]
+            )
             adam_step(params, grads, adam, **adam_settings)
             for slot, (rows, grad) in (emb_grads or {}).items():
                 adam_step_rows(emb_matrices[slot], rows, grad, adam, slot, **adam_settings)
@@ -527,7 +555,7 @@ def format_training_log(records):
 
 def tag_neural(model, sentence):
     """Predict NER labels (and POS for joint models); dropout off."""
-    encoded, _ = _encode(model, sentence, {}, 0.0, None)
+    encoded, _, _ = _encode(model, [sentence], {}, 0.0, None)
     outputs = {}
     for name, head in model.heads.items():
         scores = head.scores(encoded)

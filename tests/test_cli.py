@@ -343,7 +343,9 @@ def test_train_non_finite_loss_is_data_error(tmp_path, capsys):
         warnings.simplefilter("always")
         assert main(["train", str(config)]) == 1
     err = capsys.readouterr().err
-    assert "loss is not finite" in err
+    # the weights overflow after the first mini-batch and the next batch's
+    # gradient is NaN
+    assert "error: epoch 1: gradient is not finite" in err
     assert "RuntimeWarning" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not model_out.exists()

@@ -21,7 +21,7 @@ from seqtag.crf import (
     tag_crf_full,
     train_crf,
 )
-from seqtag.embeddings import EmbeddingConfig, init_random
+from seqtag.embeddings import EmbeddingConfig, init_random, load_text_vectors
 
 
 def dummy_sentence(n):
@@ -465,10 +465,38 @@ def test_lazy_decay_matches_dense_decay(l2):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_loss_raises():
-    # the weights overflow in the first epoch; the validation loss is NaN
+    # the weights overflow after the first mini-batch; the next batch's
+    # gradient is NaN and training stops there, inside epoch 1
     corpus = make_corpus(10, seed=1)
     config = CrfTrainConfig(learning_rate=1e300, epochs=3, patience=3)
     log = []
-    with pytest.raises(NonFiniteLossError, match="epoch 1"):
+    with pytest.raises(NonFiniteLossError, match="^epoch 1: gradient is not finite$"):
         train_crf(corpus, corpus, config, log=log)
-    assert len(log) == 1
+    assert log == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_validation_loss_raises():
+    # one mini-batch per epoch: its gradient is finite, but the step
+    # overflows the weights and the validation loss is NaN
+    corpus = make_corpus(10, seed=1)
+    config = CrfTrainConfig(learning_rate=1e307, epochs=3, patience=3, batch_size=10)
+    log = []
+    with pytest.raises(NonFiniteLossError, match="^epoch 1: loss is not finite"):
+        train_crf(corpus, corpus, config, log=log)
+    assert len(log) == 1 and math.isnan(log[0]["valid_loss"])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_row_gradient_stops_training():
+    # vector features near 1e307: the loss at zero weights is finite, but
+    # summing a batch's entries of one feature row overflows
+    corpus = make_corpus(10, seed=1)
+    words = sorted({t.surface for s in corpus for t in s})
+    table = load_text_vectors(
+        f"{len(words)} 2\n" + "".join(f"{w} 1e307 0.5\n" for w in words),
+        EmbeddingConfig(dim=2, bucket_count=0),
+    )
+    config = CrfTrainConfig(epochs=2, patience=2, batch_size=10)
+    with pytest.raises(NonFiniteLossError, match="^epoch 1: gradient is not finite$"):
+        train_crf(corpus, corpus, config, embeddings=table)

@@ -2,11 +2,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqtag import chain
-from seqtag.corpus import NER_LABELS, NerLabel, Sentence, Token
+from seqtag.corpus import NER_LABELS, POS_TAGS, NerLabel, Sentence, Token
 from seqtag.embeddings import (
     EmbeddingConfig,
     embed,
@@ -23,10 +23,16 @@ from seqtag.neural import (
     batch_loss_and_gradients,
     bilstm_encode,
     build_tagger,
-    lstm_cell,
     tag_neural,
 )
 from seqtag.neural import tagger
+from seqtag.neural.heads import (
+    crf_head_backward,
+    crf_head_loss,
+    dropout_mask,
+    softmax_head_backward,
+    softmax_head_loss,
+)
 from seqtag.neural.lstm import lstm_backward, lstm_forward, sigmoid
 
 
@@ -219,9 +225,9 @@ def test_row_gradient_arrays_match_per_token_dict_reference(vocab, batch, bucket
     scan_dxs = []
 
     def recording_backward(cache, params, dhs):
-        dz, grads = lstm_backward(cache, params, dhs)
+        dz = lstm_backward(cache, params, dhs)
         scan_dxs.append(dz @ params.W)
-        return dz, grads
+        return dz
 
     with mock.patch.object(tagger, "lstm_backward", recording_backward):
         _, _, emb_grads = batch_loss_and_gradients(model, sentences)
@@ -309,7 +315,7 @@ def test_dropout_masks_fixed_between_forward_and_backward():
 
 
 def reference_lstm(xs, params, dhs):
-    """Per-step scan with lstm_cell and BPTT with np.outer per step."""
+    """Per-step scan, one cell at a time, and BPTT with np.outer per step."""
     size = params.hidden_size
     h, c = np.zeros(size), np.zeros(size)
     hs, steps = [], []
@@ -317,7 +323,8 @@ def reference_lstm(xs, params, dhs):
         z = params.W @ x + params.U @ h + params.b
         i, f, o = (sigmoid(z[k * size : (k + 1) * size]) for k in range(3))
         g = np.tanh(z[3 * size :])
-        h_new, c_new = lstm_cell(x, h, c, params)
+        c_new = f * c + i * g
+        h_new = o * np.tanh(c_new)
         steps.append((x, h, c, i, f, o, g, np.tanh(c_new)))
         h, c = h_new, c_new
         hs.append(h)
@@ -369,13 +376,148 @@ def test_lstm_scan_and_bptt_match_per_step_reference(n_steps, input_size, hidden
     dhs = rng.normal(size=(n_steps, hidden))
 
     want_hs, want_dxs, want_grads = reference_lstm(xs, params, dhs)
-    hs, cache = lstm_forward(xs, params)
-    dz, grads = lstm_backward(cache, params, dhs)
+    hs, cache = lstm_forward(xs @ params.W.T + params.b, params)
+    dz = lstm_backward(cache, params, dhs)
     assert_close_to_reference(hs, want_hs)
     assert_close_to_reference(dz @ params.W, want_dxs)
-    assert sorted(grads) == ["U", "W", "b"]
+    h_prev = np.vstack([np.zeros(hidden), hs[:-1]])
+    grads = {"W": dz.T @ xs, "U": dz.T @ h_prev, "b": dz.sum(axis=0)}
     for key, want in want_grads.items():
         assert_close_to_reference(grads[key], want)
+
+
+# ---------------------------------------------------------------------------
+# mini-batch gradients against a per-sentence reference
+
+
+def reference_batch(model, batch, joint_weight, rate, rng):
+    """Per sentence: embed, dropout, both per-step scans, the heads' GEMMs,
+    BPTT with its own weight gradients and input gradients, summed over
+    the batch and then divided by its size. Returns the mean loss, the
+    dense gradients, each sentence's input gradients and the masks drawn."""
+    table, h = model.embedding, model.hidden_size
+    fwd, bwd = model.forward_lstm, model.backward_lstm
+    total, grads, dxs_per_sentence, masks = 0.0, {}, [], []
+
+    def add(name, value):
+        grads[name] = grads[name] + value if name in grads else value.copy()
+
+    for sentence in batch:
+        xs = np.stack([embed(table, token.surface) for token in sentence])
+        mask_e = mask_h = None
+        if rate:
+            mask_e = dropout_mask(xs.shape, rate, rng)
+            mask_h = dropout_mask((len(xs), 2 * h), rate, rng)
+            masks += [mask_e, mask_h]
+            xs = xs * mask_e
+        zeros = np.zeros((len(xs), h))
+        hs_f, _, _ = reference_lstm(xs, fwd, zeros)
+        hs_b, _, _ = reference_lstm(xs[::-1], bwd, zeros)
+        encoded = np.concatenate([hs_f, hs_b[::-1]], axis=1)
+        if mask_h is not None:
+            encoded = encoded * mask_h
+        gold = {
+            "ner": [NER_LABELS.index(t.ner) for t in sentence],
+            "pos": [POS_TAGS.index(t.pos) for t in sentence],
+        }
+        losses = {}
+        d_encoded = np.zeros_like(encoded)
+        for name, head in model.heads.items():
+            scale = 1.0 if name == "ner" else joint_weight
+            scores = encoded @ head.weight.T + head.bias
+            if head.kind == "softmax":
+                losses[name], probs = softmax_head_loss(scores, gold[name])
+                d_scores = scale * softmax_head_backward(probs, gold[name])
+            else:
+                losses[name] = crf_head_loss(scores, head.transitions, gold[name])
+                d_scores, d_trans = crf_head_backward(scores, head.transitions, gold[name])
+                d_scores = scale * d_scores
+                add(f"head.{name}.transitions", scale * d_trans)
+            add(f"head.{name}.weight", d_scores.T @ encoded)
+            add(f"head.{name}.bias", d_scores.sum(axis=0))
+            d_encoded += d_scores @ head.weight
+        total += losses["ner"] + joint_weight * losses.get("pos", 0.0)
+        if mask_h is not None:
+            d_encoded = d_encoded * mask_h
+        _, dxs_f, grads_f = reference_lstm(xs, fwd, d_encoded[:, :h])
+        _, dxs_b, grads_b = reference_lstm(xs[::-1], bwd, d_encoded[::-1, h:])
+        for key in ("W", "U", "b"):
+            add(f"fwd.{key}", grads_f[key])
+            add(f"bwd.{key}", grads_b[key])
+        dxs = dxs_f + dxs_b[::-1]
+        dxs_per_sentence.append(dxs if mask_e is None else dxs * mask_e)
+    n = len(batch)
+    return total / n, {k: v / n for k, v in grads.items()}, dxs_per_sentence, masks
+
+
+def assert_entries_close(got, want):
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lengths=st.lists(st.integers(1, 9), min_size=1, max_size=5),
+    arch=st.sampled_from(ARCHITECTURES),
+    trainable=st.booleans(),
+    dropout=st.sampled_from([0.0, 0.5]),
+    joint_weight=st.sampled_from([0.0, 0.7, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(lengths=[1], arch=ARCHITECTURES[1], trainable=True, dropout=0.5, joint_weight=1.0,
+         seed=0)
+def test_batch_gradients_match_per_sentence_reference(lengths, arch, trainable, dropout,
+                                                      joint_weight, seed):
+    rng = np.random.default_rng(seed)
+    model = tiny_model(arch, rng, dim=3, hidden=2, bucket_count=5)
+    model.dropout_rate = dropout
+    if not trainable:
+        model.embedding.mode = "frozen"
+    batch = [
+        Sentence(
+            tuple(
+                Token(
+                    WORD_POOL[int(rng.integers(len(WORD_POOL)))],
+                    POS_TAGS[int(rng.integers(len(POS_TAGS)))],
+                    NER_LABELS[int(rng.integers(len(NER_LABELS)))],
+                )
+                for _ in range(length)
+            )
+        )
+        for length in lengths
+    ]
+
+    drawn = []
+
+    def recording_mask(shape, rate, mask_rng):
+        mask = dropout_mask(shape, rate, mask_rng)
+        drawn.append(mask)
+        return mask
+
+    with mock.patch.object(tagger, "dropout_mask", recording_mask):
+        loss, grads, emb_grads = batch_loss_and_gradients(
+            model, batch, joint_weight=joint_weight, training=True,
+            rng=np.random.default_rng(seed),
+        )
+    want_loss, want_grads, want_dxs, want_masks = reference_batch(
+        model, batch, joint_weight, dropout, np.random.default_rng(seed)
+    )
+
+    assert len(drawn) == len(want_masks) == (2 * len(batch) if dropout else 0)
+    for got, want in zip(drawn, want_masks):
+        assert got.tobytes() == want.tobytes()
+    assert abs(loss - want_loss) <= 1e-12 * max(1.0, abs(want_loss))
+    assert sorted(grads) == sorted(want_grads)
+    for name, want in want_grads.items():
+        assert_entries_close(grads[name], want)
+    if not trainable:
+        assert emb_grads is None
+        return
+    want_rows = reference_row_grads(model.embedding, batch, want_dxs)
+    assert sorted(emb_grads) == sorted(want_rows)
+    for slot, (rows, got) in emb_grads.items():
+        assert rows.tolist() == sorted(want_rows[slot])
+        assert_entries_close(got, np.stack([want_rows[slot][r] for r in rows.tolist()]))
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +577,50 @@ def test_adam_identical_runs_identical_trajectories():
 def test_adam_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         adam_step({"w": np.zeros(3)}, {"w": np.zeros(4)}, AdamState())
+
+
+def reference_adam(params, grads, state, learning_rate, beta1, beta2, epsilon):
+    """The textbook formula, one temporary per operation: the arithmetic
+    adam_step must reproduce bit for bit."""
+    state.t += 1
+    t = state.t
+    for name, grad in grads.items():
+        param = params[name]
+        m, v = state.slot(name, param)
+        m *= beta1
+        m += (1.0 - beta1) * grad
+        v *= beta2
+        v += (1.0 - beta2) * grad**2
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        param -= learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.sampled_from([(1,), (7,), (4, 3), (16, 5)]),
+    n_steps=st.integers(1, 4),
+    grad_scale=st.sampled_from([1e-9, 1.0, 1e4]),
+    hyper=st.sampled_from([(0.001, 0.9, 0.999, 1e-8), (0.02, 0.5, 0.9, 1e-3)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_adam_step_matches_textbook_formula_bit_for_bit(shape, n_steps, grad_scale, hyper,
+                                                        seed):
+    rng = np.random.default_rng(seed)
+    start = {"a": rng.normal(size=shape), "b": rng.normal(size=shape[:1])}
+    got = {k: v.copy() for k, v in start.items()}
+    want = {k: v.copy() for k, v in start.items()}
+    got_state, want_state = AdamState(), AdamState()
+    for _ in range(n_steps):
+        grads = {k: rng.normal(0.0, grad_scale, size=v.shape) for k, v in start.items()}
+        grads["b"][0] = 0.0
+        adam_step(got, {k: g.copy() for k, g in grads.items()}, got_state, *hyper)
+        reference_adam(want, grads, want_state, *hyper)
+        for name in start:
+            assert got[name].tobytes() == want[name].tobytes()
+            assert got_state.m[name].tobytes() == want_state.m[name].tobytes()
+            assert got_state.v[name].tobytes() == want_state.v[name].tobytes()
+    assert got_state.t == want_state.t == n_steps
 
 
 def reference_adam_rows(matrix, row_grads, state, name, learning_rate=0.001,

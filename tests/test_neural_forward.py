@@ -11,11 +11,11 @@ from seqtag.neural import (
     build_tagger,
     crf_head_loss,
     joint_loss,
-    lstm_cell,
     sentence_loss,
     softmax_head_loss,
 )
 from seqtag.neural.heads import dropout_mask
+from seqtag.neural.lstm import lstm_forward
 
 
 def zero_params(d, h):
@@ -31,61 +31,63 @@ def random_params(rng, d, h):
 
 
 # ---------------------------------------------------------------------------
-# lstm cell
+# lstm cell: single steps of the scan, from precomputed input pre-activations
 
 
 def test_cell_all_zero():
     p = zero_params(2, 3)
-    h, c = lstm_cell(np.zeros(2), np.zeros(3), np.zeros(3), p)
-    np.testing.assert_array_equal(c, np.zeros(3))
-    np.testing.assert_array_equal(h, np.zeros(3))
+    hs, (_, _, _, tanh_cs) = lstm_forward(np.zeros((1, 12)), p)
+    np.testing.assert_array_equal(tanh_cs, np.zeros((1, 3)))
+    np.testing.assert_array_equal(hs, np.zeros((1, 3)))
 
 
 def test_cell_zero_params_carries_half_cell():
+    # step 1 writes c = i * g = 0.5 * w; step 2, with zero weights and a
+    # zero input, keeps half of it (forget gate 0.5) and adds nothing
     p = zero_params(2, 3)
-    v = np.array([0.4, -1.2, 2.0])
-    h, c = lstm_cell(np.zeros(2), np.zeros(3), v, p)
-    np.testing.assert_allclose(c, 0.5 * v, atol=1e-15)
-    np.testing.assert_allclose(h, 0.5 * np.tanh(0.5 * v), atol=1e-15)
+    w = np.array([0.2, -0.6, 0.9])
+    zx = np.zeros((2, 12))
+    zx[0, 9:] = np.arctanh(w)
+    hs, (_, c_prev, _, tanh_cs) = lstm_forward(zx, p)
+    v = c_prev[1]
+    np.testing.assert_allclose(v, 0.5 * w, atol=1e-15)
+    np.testing.assert_allclose(np.arctanh(tanh_cs[1]), 0.5 * v, atol=1e-15)
+    np.testing.assert_allclose(hs[1], 0.5 * np.tanh(0.5 * v), atol=1e-15)
 
 
 def test_cell_matches_scalar_loop_oracle():
     rng = np.random.default_rng(0)
-    d, h_size = 2, 3
+    d, h_size, n_steps = 2, 3, 3
     p = random_params(rng, d, h_size)
-    x = rng.uniform(-1, 1, size=d)
-    h_prev = rng.uniform(-1, 1, size=h_size)
-    c_prev = rng.uniform(-1, 1, size=h_size)
-    h, c = lstm_cell(x, h_prev, c_prev, p)
+    xs = rng.uniform(-1, 1, size=(n_steps, d))
+    hs, _ = lstm_forward(xs @ p.W.T + p.b, p)
 
     # independent scalar implementation, one hidden unit at a time
     def dot(row, vec):
         return sum(row[k] * vec[k] for k in range(len(vec)))
 
-    for j in range(h_size):
-        z_i = dot(p.W[j], x) + dot(p.U[j], h_prev) + p.b[j]
-        z_f = dot(p.W[h_size + j], x) + dot(p.U[h_size + j], h_prev) + p.b[h_size + j]
-        z_o = (
-            dot(p.W[2 * h_size + j], x)
-            + dot(p.U[2 * h_size + j], h_prev)
-            + p.b[2 * h_size + j]
-        )
-        z_g = (
-            dot(p.W[3 * h_size + j], x)
-            + dot(p.U[3 * h_size + j], h_prev)
-            + p.b[3 * h_size + j]
-        )
-        sig = lambda z: 1.0 / (1.0 + math.exp(-z))
-        c_j = sig(z_f) * c_prev[j] + sig(z_i) * math.tanh(z_g)
-        h_j = sig(z_o) * math.tanh(c_j)
-        assert c[j] == pytest.approx(c_j, abs=1e-12)
-        assert h[j] == pytest.approx(h_j, abs=1e-12)
+    def sig(z):
+        return 1.0 / (1.0 + math.exp(-z))
+
+    h_prev, c_prev = [0.0] * h_size, [0.0] * h_size
+    for t, x in enumerate(xs):
+        z = [
+            [dot(p.W[k * h_size + j], x) + dot(p.U[k * h_size + j], h_prev)
+             + p.b[k * h_size + j] for j in range(h_size)]
+            for k in range(4)
+        ]
+        c = [sig(z[1][j]) * c_prev[j] + sig(z[0][j]) * math.tanh(z[3][j])
+             for j in range(h_size)]
+        h = [sig(z[2][j]) * math.tanh(c[j]) for j in range(h_size)]
+        for j in range(h_size):
+            assert hs[t, j] == pytest.approx(h[j], abs=1e-12)
+        h_prev, c_prev = h, c
 
 
 def test_cell_rejects_shape_mismatch():
     p = zero_params(2, 3)
     with pytest.raises(ValueError):
-        lstm_cell(np.zeros(5), np.zeros(3), np.zeros(3), p)
+        lstm_forward(np.zeros((2, 5)), p)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,14 @@ from seqtag.embeddings import EmbeddingConfig, init_random
 from seqtag.neural import (
     Architecture,
     NeuralTrainConfig,
+    batch_loss_and_gradients,
     build_tagger,
     format_training_log,
     sentence_loss,
     tag_neural,
     train_neural,
 )
+from seqtag.neural import tagger
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -282,14 +284,55 @@ def test_log_format():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("inference", ["softmax", "crf"])
 def test_non_finite_loss_raises(inference):
-    # Adam moves every weight by about the learning rate, so the encoder
-    # overflows and the validation loss is NaN
+    # Adam moves every weight by about the learning rate. Under the softmax
+    # head the validation loss turns NaN after epoch 2; under the CRF head
+    # the loss of epoch 2's batch is still finite but its gradient is not,
+    # and training stops at that batch
     corpus = make_corpus(6, seed=1)
     log = []
-    with pytest.raises(NonFiniteLossError, match="not finite"):
+    with pytest.raises(NonFiniteLossError, match="not finite") as caught:
         train_neural(
             corpus, corpus, Architecture(inference, "single", "random"),
             small_config(learning_rate=1e300, max_epochs=3, patience=3, hidden_size=4),
             embedding_config=small_emb_config(), log=log,
         )
-    assert not all(math.isfinite(r["valid_loss"]) for r in log)
+    if inference == "softmax":
+        assert str(caught.value).startswith("epoch 2: loss is not finite")
+        assert not all(math.isfinite(r["valid_loss"]) for r in log)
+    else:
+        assert str(caught.value) == "epoch 2: gradient is not finite"
+        assert [r["epoch"] for r in log] == [1]
+
+
+def huge_weights(model, rng):
+    """Head weights and U near 1e200: the loss stays finite, but BPTT's
+    dh = dz U overflows."""
+    for head in model.heads.values():
+        head.weight[...] = 1e200 * rng.uniform(-1.0, 1.0, size=head.weight.shape)
+    for lstm in (model.forward_lstm, model.backward_lstm):
+        lstm.U *= 1e200
+    return model
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("inference", ["softmax", "crf"])
+def test_non_finite_gradient_stops_training(inference, monkeypatch):
+    corpus = make_corpus(6, seed=1)
+    arch = Architecture(inference, "single", "random")
+    rng = np.random.default_rng(0)
+    table = init_random(sorted({t.surface for s in corpus for t in s}), small_emb_config())
+    model = huge_weights(build_tagger(arch, table, 4, rng, 0.0), rng)
+    loss, grads, _ = batch_loss_and_gradients(model, list(corpus))
+    assert math.isfinite(loss)
+    assert not all(np.isfinite(g).all() for g in grads.values())
+
+    monkeypatch.setattr(
+        tagger, "build_tagger", lambda *args, **kw: huge_weights(build_tagger(*args, **kw), rng)
+    )
+    log = []
+    with pytest.raises(NonFiniteLossError, match="^epoch 1: gradient is not finite$"):
+        train_neural(
+            corpus, corpus, arch, small_config(max_epochs=2, hidden_size=4),
+            embedding_config=small_emb_config(), log=log,
+        )
+    assert log == []

@@ -20,6 +20,7 @@ import copy
 import time
 import warnings
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -214,7 +215,7 @@ def _encode(model, sentences, cache, rate, rng):
     fwd, bwd = model.forward_lstm, model.backward_lstm
     infos = [_lookup(table, token.surface, cache) for sentence in sentences for token in sentence]
     xs = np.stack([compose(table, idx, buckets) for idx, buckets in infos])
-    ends = np.cumsum([len(sentence) for sentence in sentences]).tolist()
+    ends = list(accumulate(len(sentence) for sentence in sentences))
     spans = list(zip([0] + ends[:-1], ends))
     mask_e = mask_h = None
     if rate != 0.0:

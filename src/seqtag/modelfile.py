@@ -10,7 +10,6 @@ predict bit-identically.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -63,11 +62,15 @@ def _write_str(out, text):
     _write_bytes(out, text.encode("utf-8"))
 
 
-def _read_exact(src, n, what):
+def _check_remaining(src, n, what):
     # a read of n bytes allocates them before it finds the end of the
     # file, so a length field past the end is refused first
     if n > _SMALL_READ and n > os.fstat(src.fileno()).st_size - src.tell():
         raise TruncatedModelFileError(f"file ends inside {what}")
+
+
+def _read_exact(src, n, what):
+    _check_remaining(src, n, what)
     data = src.read(n)
     if len(data) != n:
         raise TruncatedModelFileError(f"file ends inside {what}")
@@ -94,7 +97,7 @@ def _write_block(out, name, payload):
         out.write(struct.pack("<I", array.ndim))
         for size in array.shape:
             out.write(struct.pack("<Q", size))
-        out.write(array.tobytes())
+        out.write(array)  # its buffer, not a copy
     elif isinstance(payload, list):
         out.write(struct.pack("<B", _KIND_STRS))
         out.write(struct.pack("<I", len(payload)))
@@ -117,11 +120,14 @@ def _read_block(src):
             struct.unpack("<Q", _read_exact(src, 8, what))[0] for _ in range(ndim)
         )
         size = 8 * math.prod(shape)  # a Python int: no overflow
-        data = _read_exact(src, size, what)
+        _check_remaining(src, size, what)
         try:
-            payload = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+            payload = np.empty(shape, dtype="<f8")
         except ValueError as exc:  # no elements, but a dimension too large
             raise ModelFileError(f"{what} has an impossible shape {shape}") from exc
+        # read straight into the array: no bytes object to copy from
+        if src.readinto(payload.reshape(-1).view(np.uint8)) != size:
+            raise TruncatedModelFileError(f"file ends inside {what}")
     elif kind == _KIND_STRS:
         (count,) = struct.unpack("<I", _read_exact(src, 4, what))
         payload = [_read_str(src, what) for _ in range(count)]
@@ -281,6 +287,14 @@ def _neural_from_blocks(blocks):
 # public interface
 
 
+class _Parts(list):
+    """The pieces of a file, joined once at the end, so that a large
+    array is copied once, into the file image, and into no growing
+    buffer on the way."""
+
+    write = list.append
+
+
 def save_model(model, path, kind, config_snapshot="", embeddings=None):
     """Write a model file; kind is the run's model name, e.g. "crf" or
     "bilstm-crf". For embedding-feature CRF models pass the table."""
@@ -290,7 +304,7 @@ def save_model(model, path, kind, config_snapshot="", embeddings=None):
         blocks = _neural_blocks(model)
     else:
         raise TypeError(f"cannot save a {type(model).__name__}")
-    out = io.BytesIO()
+    out = _Parts()
     out.write(MAGIC)
     out.write(struct.pack("<I", FORMAT_VERSION))
     _write_str(out, kind)
@@ -298,7 +312,7 @@ def save_model(model, path, kind, config_snapshot="", embeddings=None):
     out.write(struct.pack("<I", len(blocks)))
     for name, payload in blocks:
         _write_block(out, name, payload)
-    data = out.getvalue()
+    data = b"".join(out)
     with open(path, "wb") as fh:
         fh.write(data)
     return data

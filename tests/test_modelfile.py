@@ -163,6 +163,28 @@ def test_string_length_past_the_end_rejected_before_reading(tmp_path):
     assert peak < 2**20
 
 
+def test_large_array_copied_once_by_save_and_once_by_load(tmp_path, random_model):
+    # the file image holds the only copy a save makes of an array and the
+    # loaded array is read in place: no tobytes() or bytes object beside them
+    model = copy.deepcopy(random_model)
+    model.embedding.ngram_buckets = np.random.default_rng(0).standard_normal((2**16, 6))
+    size = model.embedding.ngram_buckets.nbytes
+    path = tmp_path / "big.bin"
+    tracemalloc.start()
+    try:
+        data = save_model(model, path, "bilstm-crf")
+        _, save_peak = tracemalloc.get_traced_memory()
+        del data
+        tracemalloc.reset_peak()
+        loaded, _, _, _ = load_model(path)
+        _, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.embedding.ngram_buckets, model.embedding.ngram_buckets)
+    assert save_peak < 1.1 * size
+    assert load_peak < 1.1 * size
+
+
 def test_trailing_bytes_rejected(tmp_path, crf_model):
     path = tmp_path / "tail.bin"
     save_model(crf_model, path, "crf")

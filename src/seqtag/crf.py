@@ -266,8 +266,7 @@ def train_crf(corpus, valid, config, task="single", embeddings=None, log=None):
     order = np.arange(n)
     factor = 1.0 - config.learning_rate * config.l2 / n
 
-    best_valid = np.inf
-    best_params = (weights.copy(), transitions.copy())
+    best_valid = np.inf  # epoch 1 sets best_params: a finite loss is below it
     epochs_since_best = 0
 
     for epoch in range(1, config.epochs + 1):

@@ -28,14 +28,10 @@ class AdamState:
 
 
 def adam_step(params, grads, state, learning_rate=0.001, beta1=0.9, beta2=0.999,
-              epsilon=1e-8, advance=True):
-    """Update every named parameter with its gradient, in place.
-
-    Set advance=False when the same state also receives sparse row
-    updates in this step and the timestep was already advanced.
-    """
-    if advance:
-        state.t += 1
+              epsilon=1e-8):
+    """Update every named parameter with its gradient, in place; advances
+    the shared timestep."""
+    state.t += 1
     t = state.t
     for name, grad in grads.items():
         param = params[name]

@@ -6,6 +6,12 @@ hidden and cell states. A scan takes its input pre-activations
 xs @ W.T + b ready-made and its backward pass returns only the gate
 gradients, so the caller forms the input and weight GEMMs once over a
 whole mini-batch of stacked sentences.
+
+The scans do only the work their result needs. The forward scan forms no
+U @ h at the first step, where h is zero, and the backward scan forms
+neither dc * f nor dz @ U at the first step, whose results nothing reads.
+The sigmoid gates come from one tanh per step over the whole (4H) gate
+row, through sigma(x) = (1 + tanh(x / 2)) / 2, which cannot overflow.
 """
 
 from __future__ import annotations
@@ -13,12 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def sigmoid(z):
-    """Logistic function without overflow: exp is only taken of -|z|."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass
@@ -61,10 +61,13 @@ def lstm_forward(zx, params):
     backward pass.
 
     The input products are formed by the caller, one GEMM over as many
-    rows as it likes; only U @ h stays in the loop. The gates are
-    activated in place in the rows of zx, which may be a reversed view.
-    The cache holds (T, .) arrays: previous hidden and cell states,
-    activated gates (i|f|o|g) and tanh(c).
+    rows as it likes; only U @ h stays in the loop, from the second step
+    on. The gates are activated in place in the rows of zx, which may be
+    a reversed view: each row's first 3H entries are halved, the whole
+    row goes through one tanh, and those 3H entries are mapped to
+    (1 + tanh(z / 2)) / 2, the sigmoid. The cell and hidden updates are
+    written in place. The cache holds (T, .) arrays: previous hidden and
+    cell states, activated gates (i|f|o|g) and tanh(c).
     """
     n_steps = zx.shape[0]
     h_size = params.hidden_size
@@ -72,17 +75,23 @@ def lstm_forward(zx, params):
         raise ValueError("input pre-activations must be (T, 4*H)")
     gates = zx  # activated in place
     i, f, o, g = np.split(gates, 4, axis=1)  # (T, H) views
+    sigmoid_part = gates[:, : 3 * h_size]  # i|f|o
     hs = np.zeros((n_steps + 1, h_size))
     cs = np.zeros((n_steps + 1, h_size))
     tanh_cs = np.empty((n_steps, h_size))
     for t in range(n_steps):
-        z = gates[t]
-        z += params.U @ hs[t]
-        z[: 3 * h_size] = sigmoid(z[: 3 * h_size])
-        np.tanh(g[t], out=g[t])
-        cs[t + 1] = f[t] * cs[t] + i[t] * g[t]
-        tanh_cs[t] = np.tanh(cs[t + 1])
-        hs[t + 1] = o[t] * tanh_cs[t]
+        z, z_sig = gates[t], sigmoid_part[t]
+        if t:  # h_0 = 0
+            z += params.U @ hs[t]
+        z_sig *= 0.5
+        np.tanh(z, out=z)
+        z_sig *= 0.5
+        z_sig += 0.5
+        np.multiply(f[t], cs[t], out=cs[t + 1])
+        np.multiply(i[t], g[t], out=tanh_cs[t])  # scratch for i * g
+        cs[t + 1] += tanh_cs[t]
+        np.tanh(cs[t + 1], out=tanh_cs[t])
+        np.multiply(o[t], tanh_cs[t], out=hs[t + 1])
     return hs[1:], (hs[:-1], cs[:-1], gates, tanh_cs)
 
 
@@ -90,7 +99,8 @@ def lstm_backward(cache, params, dhs):
     """BPTT given upstream gradients on every hidden state; returns the
     (T, 4H) gate gradients DZ.
 
-    Only dh_next = U^T dz stays in the loop. The caller forms the
+    Only dh_next = U^T dz stays in the loop, and the first step forms
+    neither it nor dc_next, which nothing reads. The caller forms the
     parameter gradients (DZ^T xs, DZ^T h_prev, sum of DZ) and the input
     gradients DZ @ W, over as many scans as it stacks.
     """
@@ -115,8 +125,9 @@ def lstm_backward(cache, params, dhs):
         dh = dhs[t] + dh_next
         dc = dh * dc_from_dh[t] + dc_next
         dz[t] *= np.concatenate((dc, dc, dh, dc))
-        dc_next = dc * f[t]
-        dh_next = dz[t] @ params.U
+        if t:
+            dc_next = dc * f[t]
+            dh_next = dz[t] @ params.U
     return dz
 
 

@@ -33,7 +33,7 @@ from seqtag.neural.heads import (
     softmax_head_backward,
     softmax_head_loss,
 )
-from seqtag.neural.lstm import lstm_backward, lstm_forward, sigmoid
+from seqtag.neural.lstm import lstm_backward, lstm_forward
 
 
 def tiny_sentences():
@@ -315,7 +315,15 @@ def test_dropout_masks_fixed_between_forward_and_backward():
 
 
 def reference_lstm(xs, params, dhs):
-    """Per-step scan, one cell at a time, and BPTT with np.outer per step."""
+    """Per-step scan, one cell at a time, and BPTT with np.outer per step.
+
+    The sigmoid is the exp form, not the tanh identity the scan uses.
+    """
+
+    def sigmoid(z):
+        e = np.exp(-np.abs(z))  # no overflow: exp only of -|z|
+        return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
     size = params.hidden_size
     h, c = np.zeros(size), np.zeros(size)
     hs, steps = [], []
@@ -384,6 +392,27 @@ def test_lstm_scan_and_bptt_match_per_step_reference(n_steps, input_size, hidden
     grads = {"W": dz.T @ xs, "U": dz.T @ h_prev, "b": dz.sum(axis=0)}
     for key, want in want_grads.items():
         assert_close_to_reference(grads[key], want)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lstm_saturated_gates_raise_no_floating_point_error(seed):
+    # pre-activations of 50 to 1e3 in size, either sign: |U h| <= sqrt(H)
+    # cannot bring them near zero, so every gate saturates exactly
+    rng = np.random.default_rng(seed)
+    n_steps, hidden = 7, 4
+    params = LstmParams.init(3, hidden, rng)
+    size = np.exp(rng.uniform(np.log(50.0), np.log(1e3), size=(n_steps, 4 * hidden)))
+    zx = rng.choice([-1.0, 1.0], size=size.shape) * size
+    zx[0, :4] = [1e3, -1e3, 1e3, -1e3]
+    dhs = rng.normal(size=(n_steps, hidden))
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        hs, cache = lstm_forward(zx.copy(), params)
+        dz = lstm_backward(cache, params, dhs)
+    gates = cache[2]
+    sigmoid_gates, g = gates[:, : 3 * hidden], gates[:, 3 * hidden :]
+    np.testing.assert_array_equal(sigmoid_gates, (zx[:, : 3 * hidden] > 0).astype(float))
+    np.testing.assert_array_equal(g, np.sign(zx[:, 3 * hidden :]))
+    assert np.isfinite(hs).all() and np.isfinite(dz).all()
 
 
 # ---------------------------------------------------------------------------

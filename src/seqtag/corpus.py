@@ -20,6 +20,7 @@ POSITIONS = ("B", "I", "E", "S")
 
 _POS_SET = frozenset(POS_TAGS)
 _FIELD_SEP = re.compile(r"[ \t]+")
+_WHITESPACE = re.compile(r"[ \t\n\r]")
 
 
 class CorpusError(Exception):
@@ -80,12 +81,11 @@ class NerLabel:
 
     @classmethod
     def parse(cls, text):
-        if text == "O":
-            return OUTSIDE
-        pos, sep, ent = text.partition("-")
-        if not sep or pos not in POSITIONS or ent not in ENTITY_TYPES:
+        """The canonical NER_LABELS member spelled text."""
+        label = _NER_BY_TEXT.get(text)
+        if label is None:
             raise TagError(f"unknown NER tag {text!r}")
-        return cls(pos, ent)
+        return label
 
     def __str__(self):
         if self.is_outside:
@@ -99,6 +99,7 @@ OUTSIDE = NerLabel(None, None)
 NER_LABELS = (OUTSIDE,) + tuple(
     NerLabel(p, e) for e in ENTITY_TYPES for p in POSITIONS
 )
+_NER_BY_TEXT = {str(label): label for label in NER_LABELS}
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,7 +111,7 @@ class Token:
     def __post_init__(self):
         if not self.surface:
             raise ValueError("empty surface form")
-        if any(ch in self.surface for ch in " \t\n\r"):
+        if _WHITESPACE.search(self.surface):
             raise ValueError(f"surface {self.surface!r} contains whitespace")
         if self.pos not in _POS_SET:
             raise TagError(f"unknown POS tag {self.pos!r}")
@@ -208,7 +209,10 @@ def parse_conll(text, strict=False, name=""):
             ner = NerLabel.parse(ner_text)
         except TagError:
             raise TagError(f"unknown NER tag {ner_text!r}", line_no) from None
-        current.append(Token(surface, pos, ner))
+        try:
+            current.append(Token(surface, pos, ner))
+        except ValueError as exc:  # a carriage return inside the surface
+            raise ParseError(str(exc), line_no) from None
     flush()
 
     if strict:

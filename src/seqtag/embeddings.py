@@ -6,6 +6,12 @@ lexical vector and its hashed n-gram bucket vectors; words outside the
 vocabulary fall back to the bucket average, or to a designated UNK vector
 when the table has no bucket rows (plain text vector files carry no
 subword table).
+
+An n-gram's bucket is the 32-bit FNV-1a hash of its UTF-8 bytes modulo
+the bucket count. FNV-1a is a left fold over bytes, so hashing takes one
+pass per start position of '<word>': the state after n characters is the
+hash of the n-gram of length n there. No n-gram string is built, and
+each byte is folded once per start position.
 """
 
 from __future__ import annotations
@@ -68,6 +74,9 @@ class EmbeddingTable:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        if not (isinstance(self.min_n, int) and isinstance(self.max_n, int)
+                and 1 <= self.min_n <= self.max_n):
+            raise ValueError("n-gram bounds need integers 1 <= min_n <= max_n")
         if self.word_vectors.ndim != 2 or len(self.word_vectors) != len(self.vocab):
             raise ValueError("word_vectors shape does not match vocab")
         if self.ngram_buckets.ndim != 2 or self.ngram_buckets.shape[1] != self.dim:
@@ -92,48 +101,46 @@ class EmbeddingTable:
         return self.mode in ("random", "finetuned")
 
 
-def char_ngrams(word, min_n, max_n):
-    """Character n-grams of '<word>' with lengths in [min_n, max_n].
-
-    Substrings are taken over Unicode scalar values, ordered by start
-    position then length, duplicates kept. The full wrapped form is the
-    word's own lexical entry and is excluded.
-    """
-    if not word:
-        raise ValueError("empty word")
-    wrapped = f"<{word}>"
-    n_chars = len(wrapped)
-    grams = []
-    for start in range(n_chars):
-        for n in range(min_n, max_n + 1):
-            end = start + n
-            if end > n_chars:
-                break
-            if start == 0 and end == n_chars:
-                continue
-            grams.append(wrapped[start:end])
-    return grams
-
-
-def hash_ngram(ngram, bucket_count):
-    """32-bit FNV-1a of the UTF-8 bytes, reduced modulo bucket_count."""
-    if not ngram:
-        raise ValueError("empty ngram")
-    if bucket_count < 1:
-        raise ValueError("bucket_count must be >= 1")
-    h = _FNV_OFFSET
-    for byte in ngram.encode("utf-8"):
-        h ^= byte
-        h = (h * _FNV_PRIME) & 0xFFFFFFFF
-    return h % bucket_count
-
-
 def ngram_bucket_ids(table, word):
-    """Bucket row indices of a word's n-grams (none without bucket rows)."""
+    """Bucket row indices of the character n-grams of '<word>' with
+    lengths in [min_n, max_n]; none without bucket rows.
+
+    N-grams are taken over Unicode scalar values, ordered by start
+    position then length, duplicates kept. The whole wrapped form is the
+    word's own lexical entry and is excluded. One FNV-1a fold per start
+    position passes through the hash of every n-gram that starts there.
+    """
     bucket_count = table.bucket_count
     if not bucket_count:
         return []
-    return [hash_ngram(g, bucket_count) for g in char_ngrams(word, table.min_n, table.max_n)]
+    if not word:
+        raise ValueError("empty word")
+    min_n, max_n = table.min_n, table.max_n
+    wrapped = f"<{word}>"
+    n_chars = len(wrapped)
+    ascii_only = wrapped.isascii()
+    # an ASCII character is its own byte; any other is encoded once, alone
+    chars = wrapped.encode() if ascii_only else [c.encode() for c in wrapped]
+    ids = []
+    for start in range(n_chars - min_n + 1):
+        first = start + min_n - 1  # the last character of the shortest n-gram
+        stop = min(start + max_n, n_chars if start else n_chars - 1)
+        h = _FNV_OFFSET
+        if ascii_only:
+            for byte in chars[start:first]:
+                h = (h ^ byte) * _FNV_PRIME & 0xFFFFFFFF
+            for byte in chars[first:stop]:
+                h = (h ^ byte) * _FNV_PRIME & 0xFFFFFFFF
+                ids.append(h % bucket_count)
+        else:
+            for char in chars[start:first]:
+                for byte in char:
+                    h = (h ^ byte) * _FNV_PRIME & 0xFFFFFFFF
+            for char in chars[first:stop]:
+                for byte in char:
+                    h = (h ^ byte) * _FNV_PRIME & 0xFFFFFFFF
+                ids.append(h % bucket_count)
+    return ids
 
 
 def compose(table, idx, buckets):

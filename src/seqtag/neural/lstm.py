@@ -55,6 +55,11 @@ class LstmParams:
         return cls(w, u, b)
 
 
+def _gate_views(gates, h):
+    """The (T, H) i, f, o and g views of a (T, 4H) gate block."""
+    return gates[:, :h], gates[:, h : 2 * h], gates[:, 2 * h : 3 * h], gates[:, 3 * h :]
+
+
 def lstm_forward(zx, params):
     """Scan the input pre-activations zx = xs @ W.T + b, (T, 4H), from
     zero states; returns hidden states and the cache needed for the
@@ -74,7 +79,7 @@ def lstm_forward(zx, params):
     if zx.shape != (n_steps, 4 * h_size):
         raise ValueError("input pre-activations must be (T, 4*H)")
     gates = zx  # activated in place
-    i, f, o, g = np.split(gates, 4, axis=1)  # (T, H) views
+    i, f, o, g = _gate_views(gates, h_size)
     sigmoid_part = gates[:, : 3 * h_size]  # i|f|o
     hs = np.zeros((n_steps + 1, h_size))
     cs = np.zeros((n_steps + 1, h_size))
@@ -107,7 +112,7 @@ def lstm_backward(cache, params, dhs):
     h_prev, c_prev, gates, tanh_cs = cache
     n_steps = gates.shape[0]
     h_size = params.hidden_size
-    i, f, o, g = np.split(gates, 4, axis=1)
+    i, f, o, g = _gate_views(gates, h_size)
     # the gate derivatives; step t multiplies row t by [dc, dc, dh, dc]
     dz = np.concatenate(
         [

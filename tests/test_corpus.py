@@ -55,6 +55,11 @@ def test_ner_label_round_trip(text):
     assert str(NerLabel.parse(text)) == text
 
 
+def test_ner_label_parse_returns_inventory_member():
+    for label in NER_LABELS:
+        assert NerLabel.parse(str(label)) is label
+
+
 @pytest.mark.parametrize("bad", ["", "B", "B-", "B-XYZ", "X-LOC", "o", "B_LOC", "B-LOC-PER"])
 def test_ner_label_rejects_unknown(bad):
     with pytest.raises(TagError):
@@ -106,6 +111,12 @@ def test_parse_field_count_error_reports_line():
     with pytest.raises(ParseError) as exc:
         parse_conll("a n O\nb n\n")
     assert exc.value.line_no == 2
+
+
+def test_parse_carriage_return_in_surface_reports_line():
+    with pytest.raises(ParseError, match="contains whitespace") as exc:
+        parse_conll("a n O\n\na\rb\tn\tO\n")
+    assert exc.value.line_no == 3
 
 
 def test_parse_unknown_pos_reports_line():

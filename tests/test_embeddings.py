@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +8,7 @@ from hypothesis import strategies as st
 from seqtag.embeddings import (
     EmbeddingConfig,
     EmbeddingFormatError,
-    char_ngrams,
     embed,
-    hash_ngram,
     init_random,
     load_text_vectors,
     ngram_bucket_ids,
@@ -22,20 +22,7 @@ def small_config(**kw):
 
 
 # ---------------------------------------------------------------------------
-# char n-grams
-
-
-def test_ngrams_two_letter_word():
-    assert char_ngrams("ab", 3, 3) == ["<ab", "ab>"]
-
-
-def test_ngrams_single_letter_word_excludes_full_form():
-    assert char_ngrams("a", 3, 3) == []
-
-
-def test_ngrams_reject_empty_word():
-    with pytest.raises(ValueError):
-        char_ngrams("", 3, 6)
+# n-gram bucket ids, against an independent enumerator and hash
 
 
 def brute_force_ngrams(word, min_n, max_n):
@@ -55,21 +42,70 @@ def brute_force_ngrams(word, min_n, max_n):
     return out
 
 
+def fnv1a_reference(data):
+    # independent FNV-1a written from the published constants
+    acc = 2166136261
+    for b in data:
+        acc = ((acc ^ b) * 16777619) % (2**32)
+    return acc
+
+
+def reference_ids(word, min_n, max_n, bucket_count=2**32):
+    return [
+        fnv1a_reference(g.encode("utf-8")) % bucket_count
+        for g in brute_force_ngrams(word, min_n, max_n)
+    ]
+
+
+def stand_in(min_n, max_n, bucket_count=2**32):
+    # ngram_bucket_ids reads only these three fields of a table
+    return types.SimpleNamespace(bucket_count=bucket_count, min_n=min_n, max_n=max_n)
+
+
+def test_ngrams_two_letter_word():
+    assert ngram_bucket_ids(stand_in(3, 3), "ab") == [
+        fnv1a_reference(b"<ab"),
+        fnv1a_reference(b"ab>"),
+    ]
+
+
+def test_ngrams_single_letter_word_excludes_full_form():
+    assert ngram_bucket_ids(stand_in(3, 3), "a") == []
+
+
+def test_ngrams_reject_empty_word():
+    with pytest.raises(ValueError):
+        ngram_bucket_ids(stand_in(3, 6), "")
+
+
 def test_ngrams_burmese_word_matches_enumerator():
     word = "မန္တလေး"[:4]
     assert len(word) == 4
-    assert char_ngrams(word, 3, 4) == brute_force_ngrams(word, 3, 4)
+    assert ngram_bucket_ids(stand_in(3, 4), word) == reference_ids(word, 3, 4)
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.text(min_size=1, max_size=8, alphabet=st.characters(codec="utf-8", categories=("L", "N"))),
-    st.integers(1, 4),
-    st.integers(0, 3),
+# characters of 1, 2, 3 and 4 UTF-8 bytes: ASCII, U+0080-U+07FF,
+# Myanmar, emoji
+WORD_CHARS = st.one_of(
+    st.characters(max_codepoint=0x7F),
+    st.characters(min_codepoint=0x80, max_codepoint=0x7FF),
+    st.characters(min_codepoint=0x1000, max_codepoint=0x109F),
+    st.characters(min_codepoint=0x1F300, max_codepoint=0x1FAFF),
 )
-def test_ngrams_match_enumerator(word, min_n, extra):
-    max_n = min_n + extra
-    assert char_ngrams(word, min_n, max_n) == brute_force_ngrams(word, min_n, max_n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.text(WORD_CHARS, min_size=1, max_size=8),
+    st.integers(1, 8),
+    st.integers(0, 7),
+    st.sampled_from([1, 7, 50_000, 2**32]),
+)
+def test_ngrams_match_enumerator(word, min_n, extra, bucket_count):
+    # max_n up to 8 also runs past the wrapped length of short words
+    max_n = min(min_n + extra, 8)
+    table = stand_in(min_n, max_n, bucket_count)
+    assert ngram_bucket_ids(table, word) == reference_ids(word, min_n, max_n, bucket_count)
 
 
 @settings(max_examples=100, deadline=None)
@@ -80,38 +116,31 @@ def test_ngram_count_formula(word, min_n, extra):
     expected = sum(max(0, wrapped_len - n + 1) for n in range(min_n, max_n + 1))
     if min_n <= wrapped_len <= max_n:
         expected -= 1
-    assert len(char_ngrams(word, min_n, max_n)) == expected
-
-
-# ---------------------------------------------------------------------------
-# hashing
-
-
-def fnv1a_reference(data):
-    # independent FNV-1a written from the published constants
-    acc = 2166136261
-    for b in data:
-        acc = ((acc ^ b) * 16777619) % (2**32)
-    return acc
+    assert len(ngram_bucket_ids(stand_in(min_n, max_n), word)) == expected
 
 
 def test_hash_single_bucket_is_zero():
-    assert hash_ngram("anything", 1) == 0
+    ids = ngram_bucket_ids(stand_in(1, 4, bucket_count=1), "anything")
+    assert ids and set(ids) == {0}
 
 
 def test_hash_known_value():
     assert fnv1a_reference(b"a") == 0xE40C292C
-    assert hash_ngram("a", 2**32) == 0xE40C292C
+    table = types.SimpleNamespace(bucket_count=2**32, min_n=1, max_n=1)
+    # the 1-grams of "<a>" in order: "<", "a", ">"
+    assert ngram_bucket_ids(table, "a")[1] == 0xE40C292C
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.text(min_size=1, max_size=10), st.integers(1, 10_000))
-def test_hash_matches_reference(ngram, buckets):
-    assert hash_ngram(ngram, buckets) == fnv1a_reference(ngram.encode("utf-8")) % buckets
+def test_hash_matches_reference(word, buckets):
+    table = stand_in(3, 6, buckets)
+    assert ngram_bucket_ids(table, word) == reference_ids(word, 3, 6, buckets)
 
 
 def test_hash_deterministic_across_calls():
-    assert hash_ngram("တက္က", 999) == hash_ngram("တက္က", 999)
+    table = stand_in(3, 6, 999)
+    assert ngram_bucket_ids(table, "တက္က") == ngram_bucket_ids(table, "တက္က")
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +205,7 @@ def test_embed_in_vocab_with_zero_buckets_scales_down():
     table = init_random(["ab", "b"], small_config(min_n=3, max_n=3))
     table.word_vectors[table.vocab["ab"]] = [1, 0, 0]
     table.ngram_buckets[...] = 0.0
-    n = len(char_ngrams("ab", 3, 3))
+    n = len(brute_force_ngrams("ab", 3, 3))
     assert n == 2
     np.testing.assert_allclose(embed(table, "ab"), np.array([1, 0, 0]) / (1 + n))
 
@@ -193,22 +222,22 @@ def test_embed_oov_matches_bucket_average_oracle():
     word = "oovword"
     got = embed(table, word)
     # brute-force average over the same bucket rows
-    grams = char_ngrams(word, cfg.min_n, cfg.max_n)
+    ids = reference_ids(word, cfg.min_n, cfg.max_n, cfg.bucket_count)
     total = np.zeros(cfg.dim)
-    for g in grams:
-        total = total + table.ngram_buckets[hash_ngram(g, cfg.bucket_count)]
-    np.testing.assert_allclose(got, total / len(grams), atol=1e-15)
+    for i in ids:
+        total = total + table.ngram_buckets[i]
+    np.testing.assert_allclose(got, total / len(ids), atol=1e-15)
 
 
 def test_embed_in_vocab_matches_average_oracle():
     cfg = small_config(seed=3)
     table = init_random(["alpha", "beta"], cfg)
     got = embed(table, "alpha")
-    grams = char_ngrams("alpha", cfg.min_n, cfg.max_n)
+    ids = reference_ids("alpha", cfg.min_n, cfg.max_n, cfg.bucket_count)
     total = table.word_vectors[table.vocab["alpha"]].copy()
-    for g in grams:
-        total += table.ngram_buckets[hash_ngram(g, cfg.bucket_count)]
-    np.testing.assert_allclose(got, total / (1 + len(grams)), atol=1e-15)
+    for i in ids:
+        total += table.ngram_buckets[i]
+    np.testing.assert_allclose(got, total / (1 + len(ids)), atol=1e-15)
 
 
 def test_embed_is_pure():

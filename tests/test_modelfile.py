@@ -362,6 +362,19 @@ def test_embedding_meta_disagreeing_with_blocks_rejected(tmp_path, random_model,
     assert_load_and_tag_fail(path, tmp_path, capsys, "does not match emb.buckets")
 
 
+@pytest.mark.parametrize(
+    "original,broken",
+    [(b'"min_n": 3', b'"min_n": 0'), (b'"max_n": 6', b'"max_n": 2')],
+    ids=["min_n-0", "max_n-below-min_n"],
+)
+def test_bad_ngram_bounds_rejected(tmp_path, random_model, capsys, original, broken):
+    path = tmp_path / "bounds.bin"
+    data = save_model(random_model, path, "bilstm-crf")
+    assert data.count(original) == 1
+    path.write_bytes(data.replace(original, broken))
+    assert_load_and_tag_fail(path, tmp_path, capsys, "min_n <= max_n")
+
+
 @pytest.mark.parametrize("rows", [2**40, 2**62])
 def test_huge_shape_field_rejected(tmp_path, crf_model, capsys, rows):
     path = tmp_path / "huge.bin"

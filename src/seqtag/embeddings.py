@@ -118,27 +118,16 @@ def ngram_bucket_ids(table, word):
     min_n, max_n = table.min_n, table.max_n
     wrapped = f"<{word}>"
     n_chars = len(wrapped)
-    ascii_only = wrapped.isascii()
-    # an ASCII character is its own byte; any other is encoded once, alone
-    chars = wrapped.encode() if ascii_only else [c.encode() for c in wrapped]
+    chars = [c.encode() for c in wrapped]
     ids = []
     for start in range(n_chars - min_n + 1):
         first = start + min_n - 1  # the last character of the shortest n-gram
         stop = min(start + max_n, n_chars if start else n_chars - 1)
         h = _FNV_OFFSET
-        if ascii_only:
-            for byte in chars[start:first]:
+        for k in range(start, stop):
+            for byte in chars[k]:
                 h = (h ^ byte) * _FNV_PRIME & 0xFFFFFFFF
-            for byte in chars[first:stop]:
-                h = (h ^ byte) * _FNV_PRIME & 0xFFFFFFFF
-                ids.append(h % bucket_count)
-        else:
-            for char in chars[start:first]:
-                for byte in char:
-                    h = (h ^ byte) * _FNV_PRIME & 0xFFFFFFFF
-            for char in chars[first:stop]:
-                for byte in char:
-                    h = (h ^ byte) * _FNV_PRIME & 0xFFFFFFFF
+            if k >= first:
                 ids.append(h % bucket_count)
     return ids
 

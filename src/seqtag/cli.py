@@ -14,7 +14,7 @@ import numpy as np
 from seqtag import NonFiniteLossError, metrics
 from seqtag.config import ConfigError, echo_config, parse_config
 from seqtag.corpus import (
-    Corpus,
+    FIELD_SEP,
     CorpusError,
     NerLabel,
     Sentence,
@@ -51,9 +51,16 @@ def _log(message):
     print(message, file=sys.stderr)
 
 
+class InputEncodingError(ValueError):
+    """A text input that is not UTF-8; a ValueError, as UnicodeDecodeError is."""
+
+
 def _read_text(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputEncodingError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _load_corpus(path, strict):
@@ -119,9 +126,7 @@ def cmd_dump_features(args):
         except EmbeddingFormatError as exc:
             _log(f"error: {exc}")
             return EXIT_DATA
-    features = extract_features(
-        sentence, args.position, use_embeddings=table is not None, embeddings=table
-    )
+    features = extract_features(sentence, args.position, table)
     for key in sorted(features):
         print(f"{key}\t{features[key]:g}")
     return EXIT_OK
@@ -225,7 +230,7 @@ def cmd_train(args):
     for line in log_lines:
         _log(line)
     snapshot = "\n".join(echo_config(config, include_paths=False)) + "\n"
-    save_model(model, config.model_out, config.model, snapshot, embeddings=embeddings)
+    save_model(model, config.model_out, config.model, snapshot)
     with open(config.model_out + ".log", "w", encoding="utf-8") as fh:
         fh.write("\n".join(echo_lines + log_lines) + "\n")
     _log(f"model written to {config.model_out}")
@@ -247,7 +252,7 @@ def _read_tag_input(text):
                 sentences.append(current)
                 current = []
             continue
-        current.append(stripped.split()[0])
+        current.append(FIELD_SEP.split(stripped, maxsplit=1)[0])
     if current:
         sentences.append(current)
     return sentences
@@ -258,20 +263,20 @@ def _as_placeholder_sentence(surfaces):
     return Sentence(tuple(Token(s, "n", outside) for s in surfaces))
 
 
-def _predict(model, kind, table, sentence):
+def _predict(model, sentence):
     """NER labels plus POS labels when the model predicts them."""
     if isinstance(model, NeuralTagger):
         prediction = tag_neural(model, sentence)
         return prediction.ner, prediction.pos
     if model.task == "joint":
-        ner, pos = zip(*tag_crf_full(model, sentence, table))
+        ner, pos = zip(*tag_crf_full(model, sentence))
         return list(ner), list(pos)
-    return tag_crf(model, sentence, table), None
+    return tag_crf(model, sentence), None
 
 
 def cmd_tag(args):
     try:
-        model, kind, _, table = load_model(args.model)
+        model = load_model(args.model)[0]
     except ModelFileError as exc:
         _log(f"error: {exc}")
         return EXIT_DATA
@@ -283,7 +288,7 @@ def cmd_tag(args):
     blocks = []
     for surfaces in sentences:
         sentence = _as_placeholder_sentence(surfaces)
-        ner, pos = _predict(model, kind, table, sentence)
+        ner, pos = _predict(model, sentence)
         lines = []
         for i, surface in enumerate(surfaces):
             if pos is not None:
@@ -298,7 +303,7 @@ def cmd_tag(args):
 
 def cmd_eval(args):
     try:
-        model, kind, _, table = load_model(args.model)
+        model = load_model(args.model)[0]
     except ModelFileError as exc:
         _log(f"error: {exc}")
         return EXIT_DATA
@@ -312,7 +317,7 @@ def cmd_eval(args):
     gold, pred = [], []
     for sentence in gold_corpus:
         gold.append(sentence.ner_labels)
-        pred.append(_predict(model, kind, table, sentence)[0])
+        pred.append(_predict(model, sentence)[0])
     report = metrics.evaluate(gold, pred)
     print(metrics.format_report(report))
     print()
@@ -374,7 +379,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, NonFiniteLossError) as exc:
+    except (OSError, InputEncodingError, NonFiniteLossError) as exc:
         _log(f"error: {exc}")
         return EXIT_DATA
 

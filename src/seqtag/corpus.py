@@ -19,7 +19,7 @@ ENTITY_TYPES = ("LOC", "DATE", "NUM", "PER", "ORG", "TIME")
 POSITIONS = ("B", "I", "E", "S")
 
 _POS_SET = frozenset(POS_TAGS)
-_FIELD_SEP = re.compile(r"[ \t]+")
+FIELD_SEP = re.compile(r"[ \t]+")
 _WHITESPACE = re.compile(r"[ \t\n\r]")
 
 
@@ -197,7 +197,7 @@ def parse_conll(text, strict=False, name=""):
         if not stripped:
             flush()
             continue
-        fields = _FIELD_SEP.split(stripped)
+        fields = FIELD_SEP.split(stripped)
         if len(fields) != 3:
             raise ParseError(
                 f"expected 3 fields (surface, pos, ner), got {len(fields)}", line_no

@@ -43,11 +43,6 @@ _MIN_W_SCALE = 1e-9
 
 
 @dataclass
-class FeatureConfig:
-    use_embeddings: bool = False
-
-
-@dataclass
 class CrfTrainConfig:
     l2: float = 0.1
     learning_rate: float = 0.05
@@ -74,7 +69,8 @@ class CrfModel:
 
     labels are NerLabel values (single task) or (NerLabel, pos) pairs
     (joint task). state_weights row f aligns with feature_index;
-    unseen features score zero.
+    unseen features score zero. embedding, when not None, is the vector
+    table whose composed word vectors are features too (emb0, emb1, ...).
     """
 
     labels: list
@@ -82,7 +78,7 @@ class CrfModel:
     feature_index: dict[str, int]
     state_weights: np.ndarray   # (F, L)
     transitions: np.ndarray     # (L, L)
-    feature_config: FeatureConfig = field(default_factory=FeatureConfig)
+    embedding: "EmbeddingTable | None" = None
     trained_on: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -185,7 +181,7 @@ def emissions(model, sentence, features):
     return _scores(model.state_weights, csr, len(sentence))
 
 
-def nll_and_gradient(model, sentence, gold, l2=0.0, features=None, embeddings=None):
+def nll_and_gradient(model, sentence, gold, l2=0.0, features=None):
     """Negative log-likelihood of the gold path and its exact gradient.
 
     The gradient is (feature-keyed sparse map of per-label vectors,
@@ -195,9 +191,7 @@ def nll_and_gradient(model, sentence, gold, l2=0.0, features=None, embeddings=No
     l2=0 here and apply the batch-scaled penalty themselves.
     """
     if features is None:
-        features = sentence_features(
-            sentence, model.feature_config.use_embeddings, embeddings
-        )
+        features = sentence_features(sentence, model.embedding)
     if not len(features) == len(gold) == len(sentence):
         raise ValueError("need one feature map and one gold label per token")
     gold_ids = [model.label_id(label) for label in gold]
@@ -228,15 +222,14 @@ def train_crf(corpus, valid, config, task="single", embeddings=None, log=None):
     config.patience epochs; the returned model carries the parameters of
     the best validation epoch. Validation sentences with labels outside
     the training label set (possible for joint product labels) are left
-    out of the validation score. Raises NonFiniteLossError when an
-    epoch's training or validation loss, or a batch's gradient, is not
-    finite.
+    out of the validation score. The model keeps embeddings, not a copy,
+    to tag with. Raises NonFiniteLossError when an epoch's training or
+    validation loss, or a batch's gradient, is not finite.
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
     if len(corpus) == 0:
         raise ValueError("empty training corpus")
-    use_emb = embeddings is not None
 
     labels = single_task_labels() if task == "single" else joint_task_labels(corpus)
     label_index = {label: i for i, label in enumerate(labels)}
@@ -244,7 +237,7 @@ def train_crf(corpus, valid, config, task="single", embeddings=None, log=None):
     registry = _Registry()
 
     def prepare(sentence, index):
-        feats = sentence_features(sentence, use_emb, embeddings)
+        feats = sentence_features(sentence, embeddings)
         gold = [label_index.get(gold_label(t, task)) for t in sentence]
         return None if None in gold else (_index_rows(index, feats), gold)
 
@@ -340,7 +333,7 @@ def train_crf(corpus, valid, config, task="single", embeddings=None, log=None):
         feature_index=feature_index,
         state_weights=weights,
         transitions=transitions,
-        feature_config=FeatureConfig(use_embeddings=use_emb),
+        embedding=embeddings,
         trained_on={
             "sentences": len(corpus),
             "task": task,
@@ -350,21 +343,13 @@ def train_crf(corpus, valid, config, task="single", embeddings=None, log=None):
     )
 
 
-def tag_crf(model, sentence, embeddings=None):
+def tag_crf(model, sentence):
     """Viterbi-decode one sentence; joint models project labels to NER."""
-    return [
-        project_ner(label, model.task)
-        for label in tag_crf_full(model, sentence, embeddings)
-    ]
+    return [project_ner(label, model.task) for label in tag_crf_full(model, sentence)]
 
 
-def tag_crf_full(model, sentence, embeddings=None):
+def tag_crf_full(model, sentence):
     """Like tag_crf but keeps the full labels (for joint POS output)."""
-    if model.feature_config.use_embeddings and embeddings is None:
-        raise ValueError("this model was trained with embedding features")
-    features = sentence_features(
-        sentence, model.feature_config.use_embeddings, embeddings
-    )
-    scores = emissions(model, sentence, features)
+    scores = emissions(model, sentence, sentence_features(sentence, model.embedding))
     path, _ = chain.viterbi(scores, model.transitions)
     return [model.labels[i] for i in path]

@@ -154,17 +154,14 @@ def embed(table, word):
     return compose(table, table.vocab.get(word), ngram_bucket_ids(table, word)).copy()
 
 
-def load_text_vectors(lines, config, name_hint=""):
+def load_text_vectors(text, config):
     """Read a "count dim" header plus one "word v1 .. v_dim" row per line.
 
     The bucket block is empty (0 x dim), as text vector files carry no
     subword table; config's n-gram fields go unused. The UNK fallback is
     the mean of all loaded vectors. Callers pick the mode afterwards.
     """
-    if isinstance(lines, str):
-        lines = lines.splitlines()
-    else:
-        lines = [l.rstrip("\n") for l in lines]
+    lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise EmbeddingFormatError("missing header line", line_no=1)
     header = lines[0].split()
@@ -174,6 +171,8 @@ def load_text_vectors(lines, config, name_hint=""):
         count, dim = int(header[0]), int(header[1])
     except ValueError:
         raise EmbeddingFormatError("header must be 'count dim'", line_no=1) from None
+    if not 0 <= count < len(lines):  # refused before the rows are allocated
+        raise EmbeddingFormatError(f"count {count} outside 0..{len(lines) - 1}", 1)
     if dim != config.dim:
         raise EmbeddingFormatError(
             f"file dimension {dim} does not match configured dim {config.dim}"

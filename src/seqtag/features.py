@@ -5,6 +5,7 @@ Word context (previous/current/next surface, sentence-initial/final
 flags), character affixes of length 1-3 over Unicode scalar values,
 hyphen and digit indicators, and a decile position bucket. Feature
 vectors are sparse string-keyed maps; indicators carry value 1.0.
+A CRF model's embedding table adds its composed word vectors as features.
 
 sentence_features builds every position's map in one pass over the
 sentence's surfaces; extract_features returns one entry of it. Within
@@ -31,26 +32,24 @@ def has_digit(surface):
     return not _DIGITS.isdisjoint(surface)
 
 
-def extract_features(sentence, i, use_embeddings=False, embeddings=None):
+def extract_features(sentence, i, embeddings=None):
     """Sparse feature map for position i of a sentence.
 
-    With use_embeddings, components of the composed word vector are added
-    as dense features emb0..emb{dim-1}.
+    With an embedding table, the nonzero components of the composed word
+    vector are added as dense features emb0..emb{dim-1}.
     """
     n = len(sentence)
     if not 0 <= i < n:
         raise IndexError(f"position {i} outside sentence of length {n}")
-    return sentence_features(sentence, use_embeddings, embeddings)[i]
+    return sentence_features(sentence, embeddings)[i]
 
 
-def sentence_features(sentence, use_embeddings=False, embeddings=None):
+def sentence_features(sentence, embeddings=None):
     """One sparse feature map per token, as extract_features gives it."""
-    if use_embeddings and embeddings is None:
-        raise ValueError("use_embeddings requires an embedding table")
     surfaces = [token.surface for token in sentence.tokens]
     n = len(surfaces)
     last = n - 1
-    if use_embeddings:
+    if embeddings is not None:
         emb_keys = [f"emb{k}" for k in range(embeddings.dim)]
     maps = []
     for i, surface in enumerate(surfaces):
@@ -82,7 +81,7 @@ def sentence_features(sentence, use_embeddings=False, embeddings=None):
         if not _DIGITS.isdisjoint(surface):
             features["has_digit"] = 1.0
         features[_BUCKET_KEYS[10 * i // n]] = 1.0
-        if use_embeddings:
+        if embeddings is not None:
             vector = embed(embeddings, surface)
             nonzero = np.flatnonzero(vector)
             features.update(zip([emb_keys[k] for k in nonzero], vector[nonzero].tolist()))

@@ -18,7 +18,7 @@ import struct
 import numpy as np
 
 from seqtag.corpus import CorpusError, NerLabel
-from seqtag.crf import CrfModel, FeatureConfig
+from seqtag.crf import CrfModel
 from seqtag.embeddings import EmbeddingTable
 from seqtag.neural.lstm import LstmParams
 from seqtag.neural.tagger import Head, NeuralTagger
@@ -201,14 +201,14 @@ def _embedding_from_blocks(blocks):
     )
 
 
-def _crf_blocks(model, embeddings):
+def _crf_blocks(model):
     features = [None] * len(model.feature_index)
     for key, row in model.feature_index.items():
         features[row] = key
     meta = {
         "kind": "crf",
         "task": model.task,
-        "use_embeddings": model.feature_config.use_embeddings,
+        "use_embeddings": model.embedding is not None,
     }
     blocks = [
         ("meta", json.dumps(meta, sort_keys=True)),
@@ -217,25 +217,21 @@ def _crf_blocks(model, embeddings):
         ("state_weights", model.state_weights),
         ("transitions", model.transitions),
     ]
-    if model.feature_config.use_embeddings:
-        if embeddings is None:
-            raise ValueError("embedding-feature models must be saved with their table")
-        blocks.extend(_embedding_blocks(embeddings))
+    if model.embedding is not None:
+        blocks.extend(_embedding_blocks(model.embedding))
     return blocks
 
 
 def _crf_from_blocks(blocks):
     meta = json.loads(blocks["meta"])
-    model = CrfModel(
+    return CrfModel(
         labels=[_parse_label(l) for l in blocks["labels"]],
         task=meta["task"],
         feature_index={key: i for i, key in enumerate(blocks["features"])},
         state_weights=blocks["state_weights"],
         transitions=blocks["transitions"],
-        feature_config=FeatureConfig(use_embeddings=meta["use_embeddings"]),
+        embedding=_embedding_from_blocks(blocks) if meta["use_embeddings"] else None,
     )
-    table = _embedding_from_blocks(blocks) if meta["use_embeddings"] else None
-    return model, table
 
 
 def _neural_blocks(model):
@@ -272,7 +268,7 @@ def _neural_from_blocks(blocks):
             transitions=transitions,
             labels=labels,
         )
-    model = NeuralTagger(
+    return NeuralTagger(
         embedding=_embedding_from_blocks(blocks),
         forward_lstm=LstmParams(blocks["fwd.W"], blocks["fwd.U"], blocks["fwd.b"]),
         backward_lstm=LstmParams(blocks["bwd.W"], blocks["bwd.U"], blocks["bwd.b"]),
@@ -280,7 +276,6 @@ def _neural_from_blocks(blocks):
         hidden_size=meta["hidden_size"],
         dropout_rate=meta["dropout_rate"],
     )
-    return model, model.embedding
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +290,11 @@ class _Parts(list):
     write = list.append
 
 
-def save_model(model, path, kind, config_snapshot="", embeddings=None):
+def save_model(model, path, kind, config_snapshot=""):
     """Write a model file; kind is the run's model name, e.g. "crf" or
-    "bilstm-crf". For embedding-feature CRF models pass the table."""
+    "bilstm-crf". A model's embedding table is written with it."""
     if isinstance(model, CrfModel):
-        blocks = _crf_blocks(model, embeddings)
+        blocks = _crf_blocks(model)
     elif isinstance(model, NeuralTagger):
         blocks = _neural_blocks(model)
     else:
@@ -320,7 +315,7 @@ def save_model(model, path, kind, config_snapshot="", embeddings=None):
 
 def load_model(path):
     """Read a model file back; returns (model, kind, config_snapshot,
-    embedding table or None)."""
+    model.embedding): the table the model owns, or None."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
@@ -345,9 +340,9 @@ def load_model(path):
     # JSON or a label that does not parse: malformed
     try:
         if json.loads(blocks["meta"])["kind"] == "crf":
-            model, table = _crf_from_blocks(blocks)
+            model = _crf_from_blocks(blocks)
         else:
-            model, table = _neural_from_blocks(blocks)
+            model = _neural_from_blocks(blocks)
     except (AttributeError, CorpusError, KeyError, TypeError, ValueError) as exc:
         raise ModelFileError(f"{path}: malformed model blocks ({exc!r})") from exc
-    return model, kind, snapshot, table
+    return model, kind, snapshot, model.embedding

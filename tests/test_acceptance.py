@@ -497,10 +497,10 @@ def test_criterion_9_real_corpus_statistics():
 # 4. memorization (slow)
 
 
-def _token_accuracy_crf(model, corpus, table=None):
+def _token_accuracy_crf(model, corpus):
     correct = total = 0
     for sentence in corpus:
-        for p, token in zip(tag_crf(model, sentence, table), sentence):
+        for p, token in zip(tag_crf(model, sentence), sentence):
             correct += p == token.ner
             total += 1
     return correct / total

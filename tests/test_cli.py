@@ -108,6 +108,53 @@ def test_dump_features_out_of_range_dim_is_usage_error(tmp_path, sample_file, ca
     assert captured.out == ""
 
 
+_NOT_UTF8 = [
+    ("stats", ["stats", "BAD"], 1),
+    ("validate", ["validate", "BAD"], 1),
+    ("dump-features", ["dump-features", "BAD", "--sentence", "0", "--position", "0"], 1),
+    ("dump-features-vectors", ["dump-features", "GOOD", "--sentence", "0",
+                               "--position", "0", "--vectors", "BAD", "--dim", "3"], 1),
+    ("train-train", ["train", "CONFIG", "--train", "BAD"], 1),
+    ("train-vectors", ["train", "CONFIG", "--vectors", "BAD"], 1),
+    ("train-config", ["train", "BAD"], 2),
+    ("eval", ["eval", "MODEL", "BAD"], 1),
+    ("tag", ["tag", "MODEL", "BAD"], 1),
+]
+
+
+@pytest.mark.parametrize("argv,code", [c[1:] for c in _NOT_UTF8], ids=[c[0] for c in _NOT_UTF8])
+def test_input_that_is_not_utf8_is_one_error_line(tmp_path, sample_file, capsys, argv, code):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"x n O\n\xff n O\n")
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("1 3\nthe 0.1 0.2 0.3\n", encoding="utf-8")
+    model_out = tmp_path / "model.bin"
+    config = crf_config(tmp_path, sample_file, model_out, epochs=2,
+                        embedding="pretrained-frozen", vectors=vectors, dim=3)
+    if "MODEL" in argv:
+        assert main(["train", str(config)]) == 0
+        capsys.readouterr()
+    paths = {"BAD": bad, "GOOD": sample_file, "CONFIG": config, "MODEL": model_out}
+    assert main([str(paths.get(arg, arg)) for arg in argv]) == code
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert errors == [f"error: {bad}: not UTF-8 text (invalid start byte)"]
+    assert "Traceback" not in err
+
+
+def test_tag_input_splits_fields_like_the_corpus_parser(tmp_path, sample_file, capsys):
+    model_out = tmp_path / "model.bin"
+    assert main(["train", str(crf_config(tmp_path, sample_file, model_out, epochs=2))]) == 0
+    capsys.readouterr()
+    text = tmp_path / "in.txt"
+    # U+00A0 and U+000B are not field separators: a line of either alone
+    # is a token, and "a\u00a0b" is one surface as training reads it
+    text.write_text("\u00a0\n\x0b\na\u00a0b\tn\tO\nx y\n", encoding="utf-8")
+    assert main(["tag", str(model_out), str(text)]) == 0
+    rows = [line.split("\t") for line in capsys.readouterr().out.rstrip("\n").split("\n")]
+    assert [row[0] for row in rows] == ["\u00a0", "\x0b", "a\u00a0b", "x"]
+
+
 # ---------------------------------------------------------------------------
 # train / tag / eval round trips
 

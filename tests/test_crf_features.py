@@ -63,11 +63,6 @@ def test_out_of_range_position_rejected(sample_sentence):
         extract_features(sample_sentence, len(sample_sentence))
 
 
-def test_embeddings_required_when_requested(sample_sentence):
-    with pytest.raises(ValueError):
-        extract_features(sample_sentence, 0, use_embeddings=True)
-
-
 def test_dense_embedding_features_match_composed_vector():
     table = init_random(["left", "mid", "right"], EmbeddingConfig(dim=4, bucket_count=7, seed=5))
     sent = Sentence(
@@ -77,7 +72,7 @@ def test_dense_embedding_features_match_composed_vector():
             Token("right", "n", NerLabel(None, None)),
         )
     )
-    feats = extract_features(sent, 1, use_embeddings=True, embeddings=table)
+    feats = extract_features(sent, 1, table)
     vector = embed(table, "mid")
     for k, component in enumerate(vector):
         if component != 0.0:
@@ -95,7 +90,7 @@ def test_sentence_features_covers_every_position(sample_sentence):
 _REFERENCE_DIGITS = set("0123456789") | {chr(cp) for cp in range(0x1040, 0x104A)}
 
 
-def reference_features(sentence, i, use_embeddings=False, embeddings=None):
+def reference_features(sentence, i, embeddings=None):
     """One position's map, built key by key as a per-position builder
     would; the order of the keys is part of what is compared."""
     tokens = sentence.tokens
@@ -121,7 +116,7 @@ def reference_features(sentence, i, use_embeddings=False, embeddings=None):
     if any(ch in _REFERENCE_DIGITS for ch in surface):
         features["has_digit"] = 1.0
     features[f"pos_bucket={10 * i // n}"] = 1.0
-    if use_embeddings:
+    if embeddings is not None:
         for k, component in enumerate(embed(embeddings, surface)):
             if component != 0.0:
                 features[f"emb{k}"] = float(component)
@@ -160,10 +155,9 @@ def _sentence(surfaces):
 def test_sentence_features_match_per_position_reference(surfaces, table):
     sentence = _sentence(surfaces)
     embeddings = _TABLES[table]
-    use = embeddings is not None
-    maps = sentence_features(sentence, use, embeddings)
+    maps = sentence_features(sentence, embeddings)
     assert len(maps) == len(surfaces)
     for i, features in enumerate(maps):
-        expected = reference_features(sentence, i, use, embeddings)
+        expected = reference_features(sentence, i, embeddings)
         assert list(features.items()) == list(expected.items())
-        assert extract_features(sentence, i, use, embeddings) == expected
+        assert extract_features(sentence, i, embeddings) == expected

@@ -11,7 +11,6 @@ from seqtag.corpus import NER_LABELS, NerLabel, Sentence, Token, parse_conll
 from seqtag.crf import (
     CrfModel,
     CrfTrainConfig,
-    FeatureConfig,
     emissions,
     gold_label,
     joint_task_labels,
@@ -293,10 +292,10 @@ def small_config(**kw):
     return CrfTrainConfig(**defaults)
 
 
-def token_accuracy_on(model, corpus, embeddings=None):
+def token_accuracy_on(model, corpus):
     correct = total = 0
     for sentence in corpus:
-        pred = tag_crf(model, sentence, embeddings)
+        pred = tag_crf(model, sentence)
         for p, t in zip(pred, sentence):
             correct += p == t.ner
             total += 1
@@ -346,10 +345,8 @@ def test_training_with_embedding_features():
     table = init_random(vocab, EmbeddingConfig(dim=8, bucket_count=50, seed=1))
     config = small_config(epochs=30)
     model = train_crf(corpus, corpus, config, embeddings=table)
-    assert model.feature_config.use_embeddings
-    assert token_accuracy_on(model, corpus, table) >= 0.95
-    with pytest.raises(ValueError):
-        tag_crf(model, corpus.sentences[0])  # embeddings required at tag time
+    assert model.embedding is table  # kept, not copied
+    assert token_accuracy_on(model, corpus) >= 0.95
 
 
 def test_empty_training_corpus_rejected(sample_corpus):

@@ -178,6 +178,14 @@ def test_load_count_mismatch_rejected():
         load_text_vectors("3 3\na 1 0 0\nb 0 1 0\n", small_config())
 
 
+@pytest.mark.parametrize("count", ["-1", "99999999999999"], ids=["negative", "huge"])
+def test_load_count_outside_file_rejected_at_header(count):
+    # refused before a (count, dim) block is allocated
+    with pytest.raises(EmbeddingFormatError, match="^line 1: count") as exc:
+        load_text_vectors(f"{count} 2\na 1 0\n", EmbeddingConfig(dim=2))
+    assert exc.value.line_no == 1
+
+
 def test_load_zero_vector_survives():
     lines = ["10 3"] + [f"w{i} {i} {i} {i}" for i in range(9)] + ["zed 0 0 0"]
     table = load_text_vectors("\n".join(lines), small_config())

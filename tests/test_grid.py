@@ -81,10 +81,10 @@ def test_grid_cell_through_cli(model, embedding, task, grid_files, tmp_path, cap
     assert logs[0] == logs[1]
     assert "epoch=1 train_loss=" in logs[0]
 
-    loaded, kind, snapshot, table = load_model(out_a)
+    loaded, kind, snapshot, _ = load_model(out_a)
     assert kind == model
     resaved = tmp_path / "resaved.bin"
-    save_model(loaded, resaved, kind, snapshot, embeddings=table)
+    save_model(loaded, resaved, kind, snapshot)
     assert resaved.read_bytes() == out_a.read_bytes()
 
     assert main(["tag", str(out_a), str(grid_files["test"])]) == 0

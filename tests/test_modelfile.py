@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from synthgen import make_corpus
 
 from seqtag.cli import main
-from seqtag.corpus import Sentence, Token
+from seqtag.corpus import Sentence, Token, write_conll
 from seqtag.crf import CrfTrainConfig, tag_crf, train_crf
 from seqtag.embeddings import EmbeddingConfig, init_random, load_text_vectors
 from seqtag.modelfile import (
@@ -49,7 +49,7 @@ def crf_emb_model(corpus):
     vocab = sorted({t.surface for s in corpus for t in s})
     table = init_random(vocab, EmbeddingConfig(dim=6, bucket_count=32, seed=2))
     config = CrfTrainConfig(l2=0.0, learning_rate=0.2, epochs=6, patience=6, seed=0)
-    return train_crf(corpus, corpus, config, embeddings=table), table
+    return train_crf(corpus, corpus, config, embeddings=table)
 
 
 def neural_model(corpus, inference, task):
@@ -86,20 +86,47 @@ def test_crf_round_trip_preserves_predictions(tmp_path, crf_model, corpus):
 
 
 def test_crf_with_embeddings_round_trip(tmp_path, crf_emb_model, corpus):
-    model, table = crf_emb_model
+    model = crf_emb_model
     path = tmp_path / "crf-emb.bin"
-    save_model(model, path, "crf", embeddings=table)
+    save_model(model, path, "crf")
     loaded, _, _, loaded_table = load_model(path)
     assert loaded_table is not None
-    np.testing.assert_array_equal(loaded_table.word_vectors, table.word_vectors)
+    np.testing.assert_array_equal(loaded_table.word_vectors, model.embedding.word_vectors)
     for sentence in corpus:
-        assert tag_crf(loaded, sentence, loaded_table) == tag_crf(model, sentence, table)
+        assert tag_crf(loaded, sentence) == tag_crf(model, sentence)
 
 
-def test_crf_without_table_refuses_embedding_save(tmp_path, crf_emb_model):
-    model, _ = crf_emb_model
-    with pytest.raises(ValueError, match="table"):
-        save_model(model, tmp_path / "x.bin", "crf")
+@pytest.mark.parametrize("name", ["crf_model", "crf_emb_model", "random_model"])
+def test_load_model_returns_the_models_own_table(tmp_path, request, name):
+    model = request.getfixturevalue(name)
+    path = tmp_path / "m.bin"
+    save_model(model, path, "crf" if name.startswith("crf") else "bilstm-crf")
+    loaded = load_model(path)
+    assert loaded[3] is loaded[0].embedding
+    assert (loaded[3] is None) == (name == "crf_model")
+
+
+def test_crf_with_text_vectors_dump_features_prints_emb_values(tmp_path, corpus, capsys):
+    vocab = sorted({t.surface for s in corpus for t in s})
+    rows = [f"{len(vocab)} 3"] + [f"{w} 0.{i % 7 + 1} -0.25 {i}" for i, w in enumerate(vocab)]
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    table = load_text_vectors(vectors.read_text(encoding="utf-8"), EmbeddingConfig(dim=3))
+    config = CrfTrainConfig(l2=0.0, learning_rate=0.2, epochs=2, patience=2, seed=0)
+    path = tmp_path / "crf-vec.bin"
+    save_model(train_crf(corpus, corpus, config, embeddings=table), path, "crf")
+    loaded, _, _, loaded_table = load_model(path)
+    assert loaded_table is loaded.embedding
+    conll = tmp_path / "corpus.conll"
+    conll.write_text(write_conll(corpus), encoding="utf-8")
+    argv = ["dump-features", str(conll), "--sentence", "0", "--position", "1",
+            "--vectors", str(vectors), "--dim", "3"]
+    assert main(argv) == 0
+    printed = [l for l in capsys.readouterr().out.splitlines() if l.startswith("emb")]
+    surface = corpus.sentences[0].tokens[1].surface
+    vector = loaded.embedding.word_vectors[loaded.embedding.vocab[surface]]
+    assert printed == [f"emb{k}\t{x:g}" for k, x in enumerate(vector) if x != 0.0]
+    assert len(printed) >= 2
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,15 @@
 """Command-line front end: corpus tools, training, tagging, evaluation.
 
 Data goes to stdout, logs to stderr. Exit codes: 0 success, 1 data or
-validation failure, 2 usage/config error.
+validation failure, 2 usage/config error. Commands raise; only main
+turns an error into its one ``error:`` line and exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -51,8 +53,19 @@ def _log(message):
     print(message, file=sys.stderr)
 
 
+class UsageError(Exception):
+    """A bad command line or run config; exit code 2."""
+
+
 class InputEncodingError(ValueError):
     """A text input that is not UTF-8; a ValueError, as UnicodeDecodeError is."""
+
+
+# errors in the data a command reads or writes; exit code 1
+_DATA_ERRORS = (
+    CorpusError, EmbeddingFormatError, ModelFileError, OSError, InputEncodingError,
+    NonFiniteLossError,
+)
 
 
 def _read_text(path):
@@ -72,11 +85,7 @@ def _load_corpus(path, strict):
 
 
 def cmd_stats(args):
-    try:
-        corpus = _load_corpus(args.corpus, strict=False)
-    except CorpusError as exc:
-        _log(f"error: {exc}")
-        return EXIT_DATA
+    corpus = _load_corpus(args.corpus, strict=False)
     stats = tag_statistics(corpus)
     print(format_stats_table(stats))
     print()
@@ -85,11 +94,7 @@ def cmd_stats(args):
 
 
 def cmd_validate(args):
-    try:
-        corpus = _load_corpus(args.corpus, strict=False)
-    except CorpusError as exc:
-        _log(f"error: {exc}")
-        return EXIT_DATA
+    corpus = _load_corpus(args.corpus, strict=False)
     clean = True
     for index, sentence in enumerate(corpus):
         for violation in validate_bioes(sentence.ner_labels):
@@ -102,30 +107,19 @@ def cmd_dump_features(args):
     try:
         embedding_config = EmbeddingConfig(dim=args.dim)
     except ValueError as exc:
-        _log(f"error: {exc}")
-        return EXIT_USAGE
-    try:
-        corpus = _load_corpus(args.corpus, strict=False)
-    except CorpusError as exc:
-        _log(f"error: {exc}")
-        return EXIT_DATA
+        raise UsageError(str(exc)) from exc
+    corpus = _load_corpus(args.corpus, strict=False)
     if not 0 <= args.sentence < len(corpus):
-        _log(f"error: corpus has {len(corpus)} sentences, asked for {args.sentence}")
-        return EXIT_DATA
+        raise CorpusError(f"corpus has {len(corpus)} sentences, asked for {args.sentence}")
     sentence = corpus.sentences[args.sentence]
     if not 0 <= args.position < len(sentence):
-        _log(
-            f"error: sentence {args.sentence} has {len(sentence)} tokens, "
+        raise CorpusError(
+            f"sentence {args.sentence} has {len(sentence)} tokens, "
             f"asked for position {args.position}"
         )
-        return EXIT_DATA
     table = None
     if args.vectors:
-        try:
-            table = load_text_vectors(_read_text(args.vectors), embedding_config)
-        except EmbeddingFormatError as exc:
-            _log(f"error: {exc}")
-            return EXIT_DATA
+        table = load_text_vectors(_read_text(args.vectors), embedding_config)
     features = extract_features(sentence, args.position, table)
     for key in sorted(features):
         print(f"{key}\t{features[key]:g}")
@@ -136,30 +130,11 @@ def cmd_dump_features(args):
 # training
 
 
-def _trainer_config(config):
-    if config.model == "crf":
-        return CrfTrainConfig(
-            l2=config.l2,
-            learning_rate=config.learning_rate,
-            epochs=config.epochs,
-            patience=config.patience,
-            batch_size=config.batch_size,
-            seed=config.seed,
-            shuffle=config.shuffle,
-        )
-    return NeuralTrainConfig(
-        learning_rate=config.learning_rate,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        epsilon=config.epsilon,
-        batch_size=config.batch_size,
-        max_epochs=config.epochs,
-        patience=config.patience,
-        joint_loss_weight=config.joint_loss_weight,
-        dropout=config.dropout,
-        seed=config.seed,
-        hidden_size=config.hidden_size,
-    )
+def _from_run_config(cls, config):
+    """A cls dataclass from the RunConfig fields of the same name; a
+    trainer's max_epochs is the config's epochs."""
+    values = {**vars(config), "max_epochs": config.epochs}
+    return cls(**{f.name: values[f.name] for f in fields(cls)})
 
 
 def cmd_train(args):
@@ -174,40 +149,30 @@ def cmd_train(args):
             raise ConfigError("missing train path")
         if not config.model_out:
             raise ConfigError("missing model_out path")
+        if config.embedding.startswith("pretrained") and not config.vectors:
+            raise ConfigError(f"embedding {config.embedding} needs a vectors path")
         # both configs reject out-of-range values
-        embedding_config = EmbeddingConfig(
-            dim=config.dim,
-            min_n=config.min_n,
-            max_n=config.max_n,
-            bucket_count=config.bucket_count,
-            seed=config.seed,
-        )
-        train_config = _trainer_config(config)
+        embedding_config = _from_run_config(EmbeddingConfig, config)
+        trainer = CrfTrainConfig if config.model == "crf" else NeuralTrainConfig
+        train_config = _from_run_config(trainer, config)
     except (ConfigError, OSError, ValueError) as exc:
-        _log(f"error: {exc}")
-        return EXIT_USAGE
+        raise UsageError(str(exc)) from exc
 
     echo_lines = echo_config(config)
     for line in echo_lines:
         _log(line)
 
-    try:
-        train = _load_corpus(config.train, strict=True)
-        if len(train) == 0:
-            raise CorpusError(f"{config.train}: no sentences to train on")
-        if config.valid:
-            valid = _load_corpus(config.valid, strict=True)
-        else:
-            _log("no valid path given; validating on the training data")
-            valid = train
-        embeddings = None
-        if config.embedding.startswith("pretrained"):
-            if not config.vectors:
-                raise ConfigError(f"embedding {config.embedding} needs a vectors path")
-            embeddings = load_text_vectors(_read_text(config.vectors), embedding_config)
-    except (CorpusError, EmbeddingFormatError, ConfigError, OSError) as exc:
-        _log(f"error: {exc}")
-        return EXIT_DATA
+    train = _load_corpus(config.train, strict=True)
+    if len(train) == 0:
+        raise CorpusError(f"{config.train}: no sentences to train on")
+    if config.valid:
+        valid = _load_corpus(config.valid, strict=True)
+    else:
+        _log("no valid path given; validating on the training data")
+        valid = train
+    embeddings = None
+    if config.embedding.startswith("pretrained"):
+        embeddings = load_text_vectors(_read_text(config.vectors), embedding_config)
 
     # overflow on the way to a non-finite loss is reported once, by
     # check_finite_losses, not as numpy warnings before it
@@ -275,16 +240,8 @@ def _predict(model, sentence):
 
 
 def cmd_tag(args):
-    try:
-        model = load_model(args.model)[0]
-    except ModelFileError as exc:
-        _log(f"error: {exc}")
-        return EXIT_DATA
-    try:
-        sentences = _read_tag_input(_read_text(args.input))
-    except OSError as exc:
-        _log(f"error: {exc}")
-        return EXIT_DATA
+    model = load_model(args.model)[0]
+    sentences = _read_tag_input(_read_text(args.input))
     blocks = []
     for surfaces in sentences:
         sentence = _as_placeholder_sentence(surfaces)
@@ -302,18 +259,10 @@ def cmd_tag(args):
 
 
 def cmd_eval(args):
-    try:
-        model = load_model(args.model)[0]
-    except ModelFileError as exc:
-        _log(f"error: {exc}")
-        return EXIT_DATA
-    try:
-        gold_corpus = _load_corpus(args.gold, strict=True)
-        if len(gold_corpus) == 0:
-            raise CorpusError(f"{args.gold}: no tokens to score")
-    except CorpusError as exc:
-        _log(f"error: {exc}")
-        return EXIT_DATA
+    model = load_model(args.model)[0]
+    gold_corpus = _load_corpus(args.gold, strict=True)
+    if len(gold_corpus) == 0:
+        raise CorpusError(f"{args.gold}: no tokens to score")
     gold, pred = [], []
     for sentence in gold_corpus:
         gold.append(sentence.ner_labels)
@@ -379,9 +328,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, InputEncodingError, NonFiniteLossError) as exc:
+    except (UsageError, *_DATA_ERRORS) as exc:
         _log(f"error: {exc}")
-        return EXIT_DATA
+        return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
+from seqtag.crf import CrfTrainConfig
+from seqtag.neural.tagger import REGIME_SIZES, NeuralTrainConfig
+
 MODEL_KINDS = ("crf", "bilstm-softmax", "bilstm-crf")
 TASKS = ("single", "joint")
 EMBEDDINGS = ("none", "random", "pretrained-frozen", "pretrained-finetuned")
@@ -32,8 +35,8 @@ class RunConfig:
     # shared schedule
     epochs: int = 50
     patience: int = 5
-    learning_rate: float | None = None   # None -> 0.05 crf / 0.001 bilstm
-    batch_size: int | None = None        # None -> 8 crf / 32 or 64 bilstm
+    learning_rate: float | None = None   # None -> the trainer's default
+    batch_size: int | None = None        # None -> the trainer's or REGIME_SIZES
     # classical crf
     l2: float = 0.1
     shuffle: bool = True
@@ -43,7 +46,7 @@ class RunConfig:
     epsilon: float = 1e-8
     dropout: float = 0.5
     joint_loss_weight: float = 1.0
-    hidden_size: int | None = None       # None -> 128 or 256 bilstm
+    hidden_size: int | None = None       # None -> REGIME_SIZES (bilstm)
     # embedding table
     dim: int = 300
     min_n: int = 3
@@ -73,10 +76,6 @@ class RunConfig:
             raise ConfigError("bilstm models need an embedding choice")
 
     @property
-    def is_neural(self):
-        return self.model != "crf"
-
-    @property
     def inference(self):
         return "crf" if self.model in ("crf", "bilstm-crf") else "softmax"
 
@@ -90,56 +89,36 @@ class RunConfig:
 
     def resolved(self):
         """Fill model-dependent defaults so the echo is fully explicit."""
-        learning_rate = self.learning_rate
-        if learning_rate is None:
-            learning_rate = 0.05 if self.model == "crf" else 0.001
-        batch_size = self.batch_size
-        if batch_size is None:
-            if self.model == "crf":
-                batch_size = 8
-            else:
-                batch_size = 32 if self.embedding == "random" else 64
-        hidden_size = self.hidden_size
-        if hidden_size is None and self.is_neural:
-            hidden_size = 128 if self.embedding == "random" else 256
-        return replace(
-            self,
-            learning_rate=learning_rate,
-            batch_size=batch_size,
-            hidden_size=hidden_size,
-        )
+        if self.model == "crf":
+            defaults = {"learning_rate": CrfTrainConfig.learning_rate,
+                        "batch_size": CrfTrainConfig.batch_size}
+        else:
+            defaults = {"learning_rate": NeuralTrainConfig.learning_rate,
+                        **REGIME_SIZES[self.embedding_mode]}
+        return replace(self, **{key: value for key, value in defaults.items()
+                                if getattr(self, key) is None})
 
 
-_FIELDS = {f.name: f for f in fields(RunConfig)}
-
-_BOOL_KEYS = {"shuffle"}
-_INT_KEYS = {
-    "seed", "epochs", "patience", "batch_size", "hidden_size",
-    "dim", "min_n", "max_n", "bucket_count",
-}
-_FLOAT_KEYS = {
-    "learning_rate", "l2", "beta1", "beta2", "epsilon", "dropout",
-    "joint_loss_weight",
-}
+# each key's type, from its annotation: "float | None" -> "float"
+_TYPES = {f.name: f.type.split(" | ")[0] for f in fields(RunConfig)}
 _PATH_KEYS = ("train", "valid", "test", "vectors", "model_out")
 
 
 def _convert(key, raw):
-    if key in _BOOL_KEYS:
+    kind = _TYPES[key]
+    if kind == "bool":
         lowered = raw.lower()
         if lowered in ("true", "yes", "1"):
             return True
         if lowered in ("false", "no", "0"):
             return False
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+    if kind == "str":
+        return raw
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
+        return int(raw) if kind == "int" else float(raw)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-    return raw
 
 
 def parse_config(text):
@@ -154,7 +133,7 @@ def parse_config(text):
             raise ConfigError(f"line {line_no}: expected 'key = value'")
         key = key.strip()
         raw = raw.strip()
-        if key not in _FIELDS:
+        if key not in _TYPES:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {line_no}: duplicate key {key!r}")

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from seqtag.corpus import FIELD_SEP
+
 MODES = ("random", "frozen", "finetuned")
 
 _FNV_OFFSET = 0x811C9DC5
@@ -157,12 +159,15 @@ def embed(table, word):
 def load_text_vectors(text, config):
     """Read a "count dim" header plus one "word v1 .. v_dim" row per line.
 
-    The bucket block is empty (0 x dim), as text vector files carry no
-    subword table; config's n-gram fields go unused. The UNK fallback is
-    the mean of all loaded vectors. Callers pick the mode afterwards.
+    Rows split like corpus lines: lines end at "\n" only, and the word
+    ends at the first space or tab, so a word may hold any other Unicode
+    space or line break. The bucket block is empty (0 x dim), as text
+    vector files carry no subword table; config's n-gram fields go
+    unused. The UNK fallback is the mean of all loaded vectors. Callers
+    pick the mode afterwards.
     """
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
+    lines = text.removesuffix("\n").split("\n")
+    if not lines[0].strip():
         raise EmbeddingFormatError("missing header line", line_no=1)
     header = lines[0].split()
     if len(header) != 2:
@@ -182,14 +187,15 @@ def load_text_vectors(text, config):
     vectors = np.zeros((count, dim))
     row = 0
     for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+        line = line.strip(" \t\r")
+        if not line:
             continue
-        parts = line.split()
-        if len(parts) != dim + 1:
+        word, *rest = FIELD_SEP.split(line, maxsplit=1)
+        values = rest[0].split() if rest else []
+        if len(values) != dim:
             raise EmbeddingFormatError(
-                f"expected word + {dim} floats, got {len(parts)} fields", line_no
+                f"expected word + {dim} floats, got {len(values) + 1} fields", line_no
             )
-        word = parts[0]
         if word in vocab:
             raise EmbeddingFormatError(f"duplicate word {word!r}", line_no)
         if row >= count:
@@ -197,7 +203,7 @@ def load_text_vectors(text, config):
                 f"more rows than the declared count {count}", line_no
             )
         try:
-            vectors[row] = [float(x) for x in parts[1:]]
+            vectors[row] = [float(x) for x in values]
         except ValueError:
             raise EmbeddingFormatError("non-numeric vector component", line_no) from None
         vocab[word] = row

@@ -28,10 +28,6 @@ _DIGITS = frozenset(_ASCII_DIGITS | _MYANMAR_DIGITS)
 _BUCKET_KEYS = tuple(f"pos_bucket={b}" for b in range(10))
 
 
-def has_digit(surface):
-    return not _DIGITS.isdisjoint(surface)
-
-
 def extract_features(sentence, i, embeddings=None):
     """Sparse feature map for position i of a sentence.
 

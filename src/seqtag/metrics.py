@@ -44,21 +44,25 @@ def _check_shapes(gold, pred):
             )
 
 
-def token_accuracy(gold, pred):
-    """Fraction of positions where prediction equals gold."""
-    _check_shapes(gold, pred)
-    correct = total = 0
-    for g_seq, p_seq in zip(gold, pred):
-        for g, p in zip(g_seq, p_seq):
-            correct += g == p
-            total += 1
+def _accuracy(scores, correct):
+    total = sum(s.support for s in scores.values())
     if total == 0:
         raise ValueError("no tokens to score")
     return correct / total
 
 
+def token_accuracy(gold, pred):
+    """Fraction of positions where prediction equals gold."""
+    return _accuracy(*_score_labels(gold, pred))
+
+
 def per_label_prf(gold, pred):
     """precision/recall/F1/support per label over gold or predicted labels."""
+    return _score_labels(gold, pred)[0]
+
+
+def _score_labels(gold, pred):
+    """per_label_prf's scores and the number of correct positions."""
     _check_shapes(gold, pred)
     tp, fp, fn, support = {}, {}, {}, {}
     for g_seq, p_seq in zip(gold, pred):
@@ -78,7 +82,7 @@ def per_label_prf(gold, pred):
         recall = t / r_den if r_den else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
         scores[label] = LabelScore(precision, recall, f1, support.get(label, 0))
-    return scores
+    return scores, sum(tp.values())
 
 
 def macro_f1(per_label):
@@ -103,7 +107,10 @@ def tagwise_report(gold, pred):
     The outside label is reported under entity "O" position "B" to give
     it a single cell in the table.
     """
-    scores = per_label_prf(gold, pred)
+    return _tagwise(per_label_prf(gold, pred))
+
+
+def _tagwise(scores):
     table = {}
     for label, score in scores.items():
         if score.support == 0 or not isinstance(label, NerLabel):
@@ -116,13 +123,13 @@ def tagwise_report(gold, pred):
 
 
 def evaluate(gold, pred):
-    scores = per_label_prf(gold, pred)
+    scores, correct = _score_labels(gold, pred)
     return EvalReport(
-        accuracy=token_accuracy(gold, pred),
+        accuracy=_accuracy(scores, correct),
         macro_f1=macro_f1(scores),
         weighted_f1=weighted_f1(scores),
         per_label=scores,
-        tagwise=tagwise_report(gold, pred),
+        tagwise=_tagwise(scores),
     )
 
 

@@ -41,6 +41,12 @@ from seqtag.neural.lstm import LstmParams, lstm_backward, lstm_forward
 INFERENCE_KINDS = ("softmax", "crf")
 TASKS = ("single", "joint")
 EMBEDDING_MODES = ("random", "frozen", "finetuned")
+# the paper's hidden and batch sizes for each embedding mode
+REGIME_SIZES = {
+    "random": {"hidden_size": 128, "batch_size": 32},
+    "frozen": {"hidden_size": 256, "batch_size": 64},
+    "finetuned": {"hidden_size": 256, "batch_size": 64},
+}
 
 _NER_INDEX = {label: i for i, label in enumerate(NER_LABELS)}
 _POS_INDEX = {pos: i for i, pos in enumerate(POS_TAGS)}
@@ -67,13 +73,13 @@ class NeuralTrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    batch_size: int | None = None    # None -> 32 random / 64 pretrained
+    batch_size: int | None = None    # None -> REGIME_SIZES
     max_epochs: int = 50
     patience: int = 5
     joint_loss_weight: float = 1.0
     dropout: float = 0.5
     seed: int = 0
-    hidden_size: int | None = None   # None -> 128 random / 256 pretrained
+    hidden_size: int | None = None   # None -> REGIME_SIZES
 
     def __post_init__(self):
         if self.max_epochs < 1:
@@ -389,10 +395,10 @@ def sentence_loss(model, sentence, joint_weight=1.0, gold=None):
 # training
 
 
-def _resolved(config, name, embedding_mode, random_default, pretrained_default):
-    """A size field of the config, or its default for the embedding mode;
-    warns when a set value deviates from that default."""
-    default = random_default if embedding_mode == "random" else pretrained_default
+def _resolved(config, name, embedding_mode):
+    """A size field of the config, or its REGIME_SIZES default for the
+    embedding mode; warns when a set value deviates from that default."""
+    default = REGIME_SIZES[embedding_mode][name]
     value = getattr(config, name)
     if value is None:
         return default
@@ -455,8 +461,8 @@ def train_neural(train, valid, arch, config, embeddings=None,
         table = copy.deepcopy(embeddings)
         table.mode = "frozen" if arch.embedding_mode == "frozen" else "finetuned"
 
-    hidden = _resolved(config, "hidden_size", arch.embedding_mode, 128, 256)
-    batch_size = _resolved(config, "batch_size", arch.embedding_mode, 32, 64)
+    hidden = _resolved(config, "hidden_size", arch.embedding_mode)
+    batch_size = _resolved(config, "batch_size", arch.embedding_mode)
     rng = np.random.default_rng(config.seed)
     model = build_tagger(arch, table, hidden, rng, dropout_rate=config.dropout)
 

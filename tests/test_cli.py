@@ -96,6 +96,13 @@ def test_dump_features_position_out_of_range(sample_file, capsys):
     assert main(["dump-features", str(sample_file), "--sentence", "0", "--position", "99"]) == 1
 
 
+def test_dump_features_sentence_out_of_range(sample_file, capsys):
+    assert main(["dump-features", str(sample_file), "--sentence", "1", "--position", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: corpus has 1 sentences, asked for 1"]
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("dim", ["0", "-3"])
 def test_dump_features_out_of_range_dim_is_usage_error(tmp_path, sample_file, capsys, dim):
     vectors = tmp_path / "vectors.txt"
@@ -122,10 +129,9 @@ _NOT_UTF8 = [
 ]
 
 
-@pytest.mark.parametrize("argv,code", [c[1:] for c in _NOT_UTF8], ids=[c[0] for c in _NOT_UTF8])
-def test_input_that_is_not_utf8_is_one_error_line(tmp_path, sample_file, capsys, argv, code):
-    bad = tmp_path / "bad.txt"
-    bad.write_bytes(b"x n O\n\xff n O\n")
+def run_with_bad_input(tmp_path, sample_file, capsys, argv, bad):
+    """Exit code and error lines of argv, with BAD standing for bad; the
+    other inputs are good."""
     vectors = tmp_path / "vectors.txt"
     vectors.write_text("1 3\nthe 0.1 0.2 0.3\n", encoding="utf-8")
     model_out = tmp_path / "model.bin"
@@ -135,11 +141,32 @@ def test_input_that_is_not_utf8_is_one_error_line(tmp_path, sample_file, capsys,
         assert main(["train", str(config)]) == 0
         capsys.readouterr()
     paths = {"BAD": bad, "GOOD": sample_file, "CONFIG": config, "MODEL": model_out}
-    assert main([str(paths.get(arg, arg)) for arg in argv]) == code
+    code = main([str(paths.get(arg, arg)) for arg in argv])
     err = capsys.readouterr().err
-    errors = [line for line in err.splitlines() if line.startswith("error: ")]
-    assert errors == [f"error: {bad}: not UTF-8 text (invalid start byte)"]
     assert "Traceback" not in err
+    return code, [line for line in err.splitlines() if line.startswith("error: ")]
+
+
+@pytest.mark.parametrize("argv,code", [c[1:] for c in _NOT_UTF8], ids=[c[0] for c in _NOT_UTF8])
+def test_input_that_is_not_utf8_is_one_error_line(tmp_path, sample_file, capsys, argv, code):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"x n O\n\xff n O\n")
+    got = run_with_bad_input(tmp_path, sample_file, capsys, argv, bad)
+    assert got == (code, [f"error: {bad}: not UTF-8 text (invalid start byte)"])
+
+
+# every input path of every command; a missing config is a usage error
+_MISSING = _NOT_UTF8 + [
+    ("tag-model", ["tag", "BAD", "GOOD"], 1),
+    ("eval-model", ["eval", "BAD", "GOOD"], 1),
+]
+
+
+@pytest.mark.parametrize("argv,code", [c[1:] for c in _MISSING], ids=[c[0] for c in _MISSING])
+def test_missing_input_path_is_one_error_line(tmp_path, sample_file, capsys, argv, code):
+    missing = tmp_path / "missing.txt"
+    got = run_with_bad_input(tmp_path, sample_file, capsys, argv, missing)
+    assert got == (code, [f"error: [Errno 2] No such file or directory: '{missing}'"])
 
 
 def test_tag_input_splits_fields_like_the_corpus_parser(tmp_path, sample_file, capsys):
@@ -318,6 +345,17 @@ def test_missing_train_path_is_usage_error(tmp_path, capsys):
     config_path.write_text("model = crf\nmodel_out = x.bin\n", encoding="utf-8")
     assert main(["train", str(config_path)]) == 2
     assert "train" in capsys.readouterr().err
+
+
+def test_pretrained_embedding_without_vectors_is_usage_error(tmp_path, sample_file, capsys):
+    model_out = tmp_path / "model.bin"
+    config = crf_config(tmp_path, sample_file, model_out, embedding="pretrained-frozen")
+    assert main(["train", str(config)]) == 2
+    # refused in the config phase: no echo, no corpus read
+    assert capsys.readouterr().err.splitlines() == [
+        "error: embedding pretrained-frozen needs a vectors path"
+    ]
+    assert not model_out.exists()
 
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from seqtag.corpus import NerLabel, Sentence, Token
 from seqtag.embeddings import EmbeddingConfig, embed, init_random
-from seqtag.features import extract_features, has_digit, sentence_features
+from seqtag.features import extract_features, sentence_features
 
 
 def test_sample_first_token_features(sample_sentence):
@@ -31,11 +31,13 @@ def test_one_token_sentence_has_both_boundary_flags():
 
 
 def test_myanmar_digits_set_has_digit():
-    assert has_digit("၁၉၉၆")
-    assert has_digit("x3y")
-    assert not has_digit("abc")
-    sent = Sentence((Token("၁၉၉၆", "num", NerLabel(None, None)),))
-    assert "has_digit" in extract_features(sent, 0)
+    def digit_feature(surface):
+        sent = Sentence((Token(surface, "num", NerLabel(None, None)),))
+        return "has_digit" in extract_features(sent, 0)
+
+    assert digit_feature("၁၉၉၆")
+    assert digit_feature("x3y")
+    assert not digit_feature("abc")
 
 
 def test_hyphen_indicator():

@@ -186,6 +186,14 @@ def test_load_count_outside_file_rejected_at_header(count):
     assert exc.value.line_no == 1
 
 
+@pytest.mark.parametrize("word", ["a\u00a0b", "a\u2028b"], ids=["no-break-space", "line-separator"])
+def test_load_word_holding_unicode_space_or_line_break(word):
+    # corpus surfaces may hold either character, so vector words may too
+    table = load_text_vectors(f"2 3\n{word} 1 0 0\nb 0 1 0\n", small_config())
+    assert table.vocab == {word: 0, "b": 1}
+    np.testing.assert_array_equal(table.word_vectors[0], [1, 0, 0])
+
+
 def test_load_zero_vector_survives():
     lines = ["10 3"] + [f"w{i} {i} {i} {i}" for i in range(9)] + ["zed 0 0 0"]
     table = load_text_vectors("\n".join(lines), small_config())

@@ -2,13 +2,15 @@
 
 Data goes to stdout, logs to stderr. Exit codes: 0 success, 1 data or
 validation failure, 2 usage/config error. Commands raise; only main
-turns an error into its one ``error:`` line and exit code.
+turns an error into its one ``error:`` line and exit code, and a
+warning into one ``warning:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -323,14 +325,21 @@ def build_parser():
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    # the shell sees the message alone, not Python's location and source line
+    _log(f"warning: {message}")
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (UsageError, *_DATA_ERRORS) as exc:
-        _log(f"error: {exc}")
-        return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_DATA
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except (UsageError, *_DATA_ERRORS) as exc:
+            _log(f"error: {exc}")
+            return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_DATA
 
 
 if __name__ == "__main__":

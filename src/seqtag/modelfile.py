@@ -6,10 +6,17 @@ float arrays (shape-prefixed), UTF-8 string lists, or UTF-8 text blobs.
 Writing is canonical (fixed block order, raw float bits), so
 save -> load -> save reproduces identical bytes and reloaded models
 predict bit-identically.
+
+A string list (a CRF's feature keys, a table's vocabulary) is a u32
+count, then per string a u32 length and its UTF-8 bytes. It is written
+as one join of its encoded strings and read back in one loop with no
+helper call per string. The layout is format v1's and does not depend
+on how it is written; a golden image in the tests pins its bytes.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -29,6 +36,7 @@ FORMAT_VERSION = 1
 _KIND_F64 = 0
 _KIND_STRS = 1
 _KIND_TEXT = 2
+_U32 = struct.Struct("<I")
 # reads up to this many bytes skip the check against the file size
 _SMALL_READ = 1 << 16
 
@@ -53,13 +61,10 @@ class TruncatedModelFileError(ModelFileError):
 # primitive encoding
 
 
-def _write_bytes(out, data):
-    out.write(struct.pack("<I", len(data)))
-    out.write(data)
-
-
 def _write_str(out, text):
-    _write_bytes(out, text.encode("utf-8"))
+    data = text.encode("utf-8")
+    out.write(_U32.pack(len(data)))
+    out.write(data)
 
 
 def _check_remaining(src, n, what):
@@ -77,16 +82,30 @@ def _read_exact(src, n, what):
     return data
 
 
-def _read_bytes(src, what):
-    (n,) = struct.unpack("<I", _read_exact(src, 4, what))
-    return _read_exact(src, n, what)
+def _read_strs(src, count, what):
+    """count strings, each a u32 length and that many UTF-8 bytes, in
+    one loop: no helper call per string."""
+    read, unpack = src.read, _U32.unpack
+    texts = []
+    append = texts.append
+    try:
+        for _ in range(count):
+            (n,) = unpack(read(4))
+            if n > _SMALL_READ:
+                _check_remaining(src, n, what)
+            data = read(n)
+            if len(data) != n:
+                raise TruncatedModelFileError(f"file ends inside {what}")
+            append(data.decode("utf-8"))
+    except struct.error:  # a length field cut short
+        raise TruncatedModelFileError(f"file ends inside {what}") from None
+    except UnicodeDecodeError as exc:
+        raise ModelFileError(f"{what} is not valid UTF-8") from exc
+    return texts
 
 
 def _read_str(src, what):
-    try:
-        return _read_bytes(src, what).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ModelFileError(f"{what} is not valid UTF-8") from exc
+    return _read_strs(src, 1, what)[0]
 
 
 def _write_block(out, name, payload):
@@ -100,9 +119,10 @@ def _write_block(out, name, payload):
         out.write(array)  # its buffer, not a copy
     elif isinstance(payload, list):
         out.write(struct.pack("<B", _KIND_STRS))
-        out.write(struct.pack("<I", len(payload)))
-        for item in payload:
-            _write_str(out, item)
+        out.write(_U32.pack(len(payload)))
+        encoded = [text.encode("utf-8") for text in payload]
+        lengths = map(_U32.pack, map(len, encoded))
+        out.write(b"".join(itertools.chain.from_iterable(zip(lengths, encoded))))
     elif isinstance(payload, str):
         out.write(struct.pack("<B", _KIND_TEXT))
         _write_str(out, payload)
@@ -129,8 +149,8 @@ def _read_block(src):
         if src.readinto(payload.reshape(-1).view(np.uint8)) != size:
             raise TruncatedModelFileError(f"file ends inside {what}")
     elif kind == _KIND_STRS:
-        (count,) = struct.unpack("<I", _read_exact(src, 4, what))
-        payload = [_read_str(src, what) for _ in range(count)]
+        (count,) = _U32.unpack(_read_exact(src, 4, what))
+        payload = _read_strs(src, count, what)
     elif kind == _KIND_TEXT:
         payload = _read_str(src, what)
     else:
@@ -191,7 +211,7 @@ def _embedding_from_blocks(blocks):
     if not meta["subword"]:  # files of text vectors once stored zero rows here
         buckets = np.zeros((0, meta["dim"]))
     return EmbeddingTable(
-        vocab={word: i for i, word in enumerate(blocks["emb.vocab"])},
+        vocab=dict(zip(blocks["emb.vocab"], itertools.count())),
         word_vectors=blocks["emb.words"],
         ngram_buckets=buckets,
         min_n=meta["min_n"],
@@ -227,7 +247,7 @@ def _crf_from_blocks(blocks):
     return CrfModel(
         labels=[_parse_label(l) for l in blocks["labels"]],
         task=meta["task"],
-        feature_index={key: i for i, key in enumerate(blocks["features"])},
+        feature_index=dict(zip(blocks["features"], itertools.count())),
         state_weights=blocks["state_weights"],
         transitions=blocks["transitions"],
         embedding=_embedding_from_blocks(blocks) if meta["use_embeddings"] else None,

@@ -281,6 +281,26 @@ def test_joint_neural_tag_emits_pos_column(tmp_path, capsys):
     assert len(first) == 3  # surface, ner, pos
 
 
+def test_train_prints_each_warning_as_one_line(tmp_path, capsys):
+    train = write_corpus(tmp_path, make_corpus(12, seed=31), "train.conll")
+    model_out = tmp_path / "warn.bin"
+    config_path = tmp_path / "warn.cfg"
+    config_path.write_text(
+        f"model = bilstm-softmax\nembedding = random\ntrain = {train}\nvalid = {train}\n"
+        f"model_out = {model_out}\nepochs = 1\nhidden_size = 6\ndim = 6\n"
+        "bucket_count = 16\n",
+        encoding="utf-8",
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", UserWarning)  # past the module's ignore filter
+        assert main(["train", str(config_path)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    warning = "warning: hidden_size 6 deviates from the 128 default for random embeddings"
+    assert [line for line in err if line.startswith("warning")] == [warning]
+    log = (tmp_path / "warn.bin.log").read_text(encoding="utf-8").splitlines()
+    assert [line for line in err if line != warning] == log + [f"model written to {model_out}"]
+
+
 def test_joint_crf_tag_emits_pos_column(tmp_path, capsys):
     corpus = make_corpus(10, seed=31)
     train = write_corpus(tmp_path, corpus, "train.conll")

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import io
 import json
 import struct
@@ -12,9 +13,9 @@ from hypothesis import strategies as st
 from synthgen import make_corpus
 
 from seqtag.cli import main
-from seqtag.corpus import Sentence, Token, write_conll
-from seqtag.crf import CrfTrainConfig, tag_crf, train_crf
-from seqtag.embeddings import EmbeddingConfig, init_random, load_text_vectors
+from seqtag.corpus import NerLabel, Sentence, Token, write_conll
+from seqtag.crf import CrfModel, CrfTrainConfig, tag_crf, train_crf
+from seqtag.embeddings import EmbeddingConfig, EmbeddingTable, init_random, load_text_vectors
 from seqtag.modelfile import (
     FORMAT_VERSION,
     MAGIC,
@@ -23,6 +24,7 @@ from seqtag.modelfile import (
     TruncatedModelFileError,
     VersionMismatchError,
     _neural_blocks,
+    _read_block,
     _write_block,
     _write_str,
     load_model,
@@ -449,3 +451,126 @@ def test_mutated_model_files_load_or_raise_model_file_error(model_images, data):
         load_model(path)
     except ModelFileError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# format v1: a golden image and the string-list block
+
+# feature keys in Myanmar script, one with U+00A0, an empty one, and two
+# of equal length ("p=ab", "p=cd") so that one can be turned into the other
+GOLDEN_FEATURES = [
+    "bias", "w=\u1019\u103c\u1014\u103a\u1019\u102c", "suf=\u102c",
+    "w=a\u00a0b", "", "p=ab", "p=cd",
+]
+GOLDEN_SHA256 = "e47bcb81f1070afdf5384822223f9606c82422b75364c67c975084b1b1358ff0"
+
+
+def golden_model():
+    labels = [
+        (NerLabel.parse("O"), "n"),
+        (NerLabel.parse("S-PER"), "n"),
+        (NerLabel.parse("B-LOC"), "fw"),
+    ]
+    table = EmbeddingTable(
+        vocab={"\u1000\u102d\u102f": 0, "caf\u00e9": 1, "na\u00efve": 2},
+        word_vectors=np.arange(6.0).reshape(3, 2) / 2,
+        ngram_buckets=np.arange(8.0).reshape(4, 2) / 4 - 1,
+        min_n=3,
+        max_n=5,
+        unk_vector=np.array([0.125, -0.5]),
+    )
+    return CrfModel(
+        labels=labels,
+        task="joint",
+        feature_index={key: i for i, key in enumerate(GOLDEN_FEATURES)},
+        state_weights=np.arange(21.0).reshape(7, 3) / 8 - 1,
+        transitions=np.array([[0.5, -1.0, 0.0], [1.5, 0.25, -2.0], [0.0, 3.0, -0.75]]),
+        embedding=table,
+    )
+
+
+@pytest.fixture
+def golden_image(tmp_path):
+    return save_model(golden_model(), tmp_path / "golden.bin", "crf", "model = crf\ntask = joint\n")
+
+
+def test_golden_image_bytes_are_pinned(tmp_path, golden_image):
+    assert hashlib.sha256(golden_image).hexdigest() == GOLDEN_SHA256
+    path = tmp_path / "reloaded.bin"
+    path.write_bytes(golden_image)
+    model, kind, snapshot, _ = load_model(path)
+    assert model.feature_index == golden_model().feature_index
+    assert save_model(model, tmp_path / "resaved.bin", kind, snapshot) == golden_image
+
+
+def reference_strs_block(name, texts):
+    def one(text):
+        data = text.encode("utf-8")
+        return struct.pack("<I", len(data)) + data
+
+    return one(name) + struct.pack("<BI", 1, len(texts)) + b"".join(map(one, texts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(st.characters(exclude_categories=("Cs",))), max_size=50))
+def test_string_list_block_round_trips_with_reference_bytes(texts):
+    out = io.BytesIO()
+    _write_block(out, "features", texts)
+    assert out.getvalue() == reference_strs_block("features", texts)
+    src = io.BytesIO(out.getvalue())
+    assert _read_block(src) == ("features", texts)
+    assert src.read() == b""
+
+
+def golden_key_at(image, key):
+    """Offset of the length field of a feature key in the image."""
+    data = key.encode("utf-8")
+    field = struct.pack("<I", len(data)) + data
+    assert image.count(field) == 1
+    return image.index(field), len(field)
+
+
+def test_every_cut_inside_a_feature_key_is_truncation(tmp_path, golden_image):
+    at, size = golden_key_at(golden_image, GOLDEN_FEATURES[1])
+    path = tmp_path / "cut.bin"
+    for cut in range(at, at + size):
+        path.write_bytes(golden_image[:cut])
+        with pytest.raises(TruncatedModelFileError, match="file ends inside block 'features'"):
+            load_model(path)
+
+
+def test_invalid_utf8_feature_key_rejected(tmp_path, golden_image):
+    at, _ = golden_key_at(golden_image, "p=cd")
+    data = bytearray(golden_image)
+    data[at + 4] = 0xFF
+    path = tmp_path / "utf8.bin"
+    path.write_bytes(bytes(data))
+    with pytest.raises(ModelFileError, match="block 'features' is not valid UTF-8"):
+        load_model(path)
+
+
+def test_feature_key_length_past_the_end_rejected_before_reading(tmp_path, golden_image):
+    at, _ = golden_key_at(golden_image, GOLDEN_FEATURES[1])
+    data = bytearray(golden_image)
+    data[at : at + 4] = struct.pack("<I", 2**28)
+    path = tmp_path / "len.bin"
+    path.write_bytes(bytes(data))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedModelFileError, match="block 'features'"):
+            load_model(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_duplicated_feature_key_rejected(tmp_path, golden_image):
+    at, _ = golden_key_at(golden_image, "p=cd")
+    golden_key_at(golden_image, "p=ab")
+    data = bytearray(golden_image)
+    data[at + 4 : at + 8] = b"p=ab"
+    path = tmp_path / "dup.bin"
+    path.write_bytes(bytes(data))
+    with pytest.raises(ModelFileError, match="malformed model blocks"):
+        load_model(path)

@@ -50,6 +50,14 @@ def accuracy_on(model, corpus):
     return correct / total
 
 
+def test_size_off_the_regime_default_warns_library_callers():
+    corpus = make_corpus(6, seed=3)
+    with pytest.warns(UserWarning, match="^hidden_size 12 deviates from the 128 default"):
+        train_neural(corpus, corpus, Architecture("softmax", "single", "random"),
+                     small_config(max_epochs=1, batch_size=None),
+                     embedding_config=small_emb_config())
+
+
 # ---------------------------------------------------------------------------
 # initialization invariants
 

@@ -15,14 +15,14 @@ from dataclasses import fields
 
 import numpy as np
 
-from seqtag import NonFiniteLossError, metrics
+from seqtag import NonFiniteLossError, format_training_log, metrics
 from seqtag.config import ConfigError, echo_config, parse_config
 from seqtag.corpus import (
-    FIELD_SEP,
     CorpusError,
     NerLabel,
     Sentence,
     Token,
+    conll_blocks,
     format_stats_table,
     parse_conll,
     stats_to_csv,
@@ -41,7 +41,6 @@ from seqtag.neural import (
     Architecture,
     NeuralTagger,
     NeuralTrainConfig,
-    format_training_log,
     tag_neural,
     train_neural,
 )
@@ -178,19 +177,20 @@ def cmd_train(args):
 
     # overflow on the way to a non-finite loss is reported once, by
     # check_finite_losses, not as numpy warnings before it
+    records = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if config.model == "crf":
-            records = []
             model = train_crf(
                 train, valid, train_config, task=config.task, embeddings=embeddings,
                 log=records,
             )
         else:
             arch = Architecture(config.inference, config.task, config.embedding_mode)
-            model, records = train_neural(
+            model, _ = train_neural(
                 train, valid, arch, train_config,
                 embeddings=embeddings,
                 embedding_config=embedding_config,
+                log=records,
             )
 
     log_lines = format_training_log(records)
@@ -206,23 +206,6 @@ def cmd_train(args):
 
 # ---------------------------------------------------------------------------
 # tagging and evaluation
-
-
-def _read_tag_input(text):
-    """Sentences of surfaces; POS/NER columns are accepted and ignored."""
-    sentences = []
-    current = []
-    for line in text.split("\n"):
-        stripped = line.strip(" \t\r")
-        if not stripped:
-            if current:
-                sentences.append(current)
-                current = []
-            continue
-        current.append(FIELD_SEP.split(stripped, maxsplit=1)[0])
-    if current:
-        sentences.append(current)
-    return sentences
 
 
 def _as_placeholder_sentence(surfaces):
@@ -243,9 +226,10 @@ def _predict(model, sentence):
 
 def cmd_tag(args):
     model = load_model(args.model)[0]
-    sentences = _read_tag_input(_read_text(args.input))
     blocks = []
-    for surfaces in sentences:
+    # POS/NER columns are accepted and ignored
+    for block in conll_blocks(_read_text(args.input)):
+        surfaces = [fields[0] for _, fields in block]
         sentence = _as_placeholder_sentence(surfaces)
         ner, pos = _predict(model, sentence)
         lines = []

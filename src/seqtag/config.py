@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
+from seqtag import TASKS
 from seqtag.crf import CrfTrainConfig
 from seqtag.neural.tagger import REGIME_SIZES, NeuralTrainConfig
 
 MODEL_KINDS = ("crf", "bilstm-softmax", "bilstm-crf")
-TASKS = ("single", "joint")
 EMBEDDINGS = ("none", "random", "pretrained-frozen", "pretrained-finetuned")
 
 
@@ -28,7 +28,6 @@ class RunConfig:
     embedding: str = "none"
     train: str | None = None
     valid: str | None = None
-    test: str | None = None
     vectors: str | None = None
     model_out: str | None = None
     seed: int = 0
@@ -101,7 +100,7 @@ class RunConfig:
 
 # each key's type, from its annotation: "float | None" -> "float"
 _TYPES = {f.name: f.type.split(" | ")[0] for f in fields(RunConfig)}
-_PATH_KEYS = ("train", "valid", "test", "vectors", "model_out")
+_PATH_KEYS = ("train", "valid", "vectors", "model_out")
 
 
 def _convert(key, raw):

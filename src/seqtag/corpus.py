@@ -18,7 +18,8 @@ POS_TAGS = (
 ENTITY_TYPES = ("LOC", "DATE", "NUM", "PER", "ORG", "TIME")
 POSITIONS = ("B", "I", "E", "S")
 
-_POS_SET = frozenset(POS_TAGS)
+#: Each POS tag's position in POS_TAGS.
+POS_INDEX = {pos: i for i, pos in enumerate(POS_TAGS)}
 FIELD_SEP = re.compile(r"[ \t]+")
 _WHITESPACE = re.compile(r"[ \t\n\r]")
 
@@ -99,6 +100,8 @@ OUTSIDE = NerLabel(None, None)
 NER_LABELS = (OUTSIDE,) + tuple(
     NerLabel(p, e) for e in ENTITY_TYPES for p in POSITIONS
 )
+#: Each NER label's position in NER_LABELS.
+NER_INDEX = {label: i for i, label in enumerate(NER_LABELS)}
 _NER_BY_TEXT = {str(label): label for label in NER_LABELS}
 
 
@@ -113,7 +116,7 @@ class Token:
             raise ValueError("empty surface form")
         if _WHITESPACE.search(self.surface):
             raise ValueError(f"surface {self.surface!r} contains whitespace")
-        if self.pos not in _POS_SET:
+        if self.pos not in POS_INDEX:
             raise TagError(f"unknown POS tag {self.pos!r}")
 
 
@@ -178,6 +181,24 @@ class TagStats:
         return self.counts.get((entity, position), 0)
 
 
+def conll_blocks(text):
+    """The sentences of CoNLL text, each a list of (line number, fields).
+
+    A line is stripped of spaces, tabs and carriage returns and split on
+    FIELD_SEP; blank lines end a sentence. Field counts are not checked.
+    """
+    block = []
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip(" \t\r")
+        if stripped:
+            block.append((line_no, FIELD_SEP.split(stripped)))
+        elif block:
+            yield block
+            block = []
+    if block:
+        yield block
+
+
 def parse_conll(text, strict=False, name=""):
     """Parse CoNLL text into a Corpus.
 
@@ -185,35 +206,25 @@ def parse_conll(text, strict=False, name=""):
     lenient mode only checks line shape and tag inventories.
     """
     sentences = []
-    current = []
-
-    def flush():
-        if current:
-            sentences.append(Sentence(tuple(current)))
-            current.clear()
-
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        stripped = line.strip(" \t\r")
-        if not stripped:
-            flush()
-            continue
-        fields = FIELD_SEP.split(stripped)
-        if len(fields) != 3:
-            raise ParseError(
-                f"expected 3 fields (surface, pos, ner), got {len(fields)}", line_no
-            )
-        surface, pos, ner_text = fields
-        if pos not in _POS_SET:
-            raise TagError(f"unknown POS tag {pos!r}", line_no)
-        try:
-            ner = NerLabel.parse(ner_text)
-        except TagError:
-            raise TagError(f"unknown NER tag {ner_text!r}", line_no) from None
-        try:
-            current.append(Token(surface, pos, ner))
-        except ValueError as exc:  # a carriage return inside the surface
-            raise ParseError(str(exc), line_no) from None
-    flush()
+    for block in conll_blocks(text):
+        tokens = []
+        for line_no, fields in block:
+            if len(fields) != 3:
+                raise ParseError(
+                    f"expected 3 fields (surface, pos, ner), got {len(fields)}", line_no
+                )
+            surface, pos, ner_text = fields
+            if pos not in POS_INDEX:
+                raise TagError(f"unknown POS tag {pos!r}", line_no)
+            try:
+                ner = NerLabel.parse(ner_text)
+            except TagError:
+                raise TagError(f"unknown NER tag {ner_text!r}", line_no) from None
+            try:
+                tokens.append(Token(surface, pos, ner))
+            except ValueError as exc:  # a carriage return inside the surface
+                raise ParseError(str(exc), line_no) from None
+        sentences.append(Sentence(tuple(tokens)))
 
     if strict:
         for idx, sentence in enumerate(sentences):

@@ -25,19 +25,14 @@ not positive. The L x L transitions decay densely.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from seqtag import chain, check_finite_gradients, check_finite_losses, sum_rows
-from seqtag.corpus import NER_LABELS, POS_TAGS
+from seqtag import TASKS, EarlyStopping, chain, check_finite_gradients, sum_rows
+from seqtag.corpus import NER_INDEX, NER_LABELS, POS_INDEX
 from seqtag.features import sentence_features
 
-TASKS = ("single", "joint")
-
-_POS_ORDER = {p: i for i, p in enumerate(POS_TAGS)}
-_NER_ORDER = {l: i for i, l in enumerate(NER_LABELS)}
 # the trainer folds its weight scale into the weights before it falls below
 _MIN_W_SCALE = 1e-9
 
@@ -108,7 +103,7 @@ def joint_task_labels(corpus):
     observed = {
         (token.ner, token.pos) for sentence in corpus for token in sentence
     }
-    return sorted(observed, key=lambda p: (_NER_ORDER[p[0]], _POS_ORDER[p[1]]))
+    return sorted(observed, key=lambda p: (NER_INDEX[p[0]], POS_INDEX[p[1]]))
 
 
 def gold_label(token, task):
@@ -259,11 +254,8 @@ def train_crf(corpus, valid, config, task="single", embeddings=None, log=None):
     order = np.arange(n)
     factor = 1.0 - config.learning_rate * config.l2 / n
 
-    best_valid = np.inf  # epoch 1 sets best_params: a finite loss is below it
-    epochs_since_best = 0
-
-    for epoch in range(1, config.epochs + 1):
-        started = time.perf_counter()
+    stopping = EarlyStopping(config.epochs, config.patience, log)
+    for epoch in stopping:
         if config.shuffle:
             rng.shuffle(order)
         epoch_nll = 0.0
@@ -295,36 +287,15 @@ def train_crf(corpus, valid, config, task="single", embeddings=None, log=None):
             weights[rows] -= (scale / w_scale) * grad_rows
             transitions -= scale * grad_trans
 
-        train_loss = epoch_nll / n
-        if valid_items:
-            valid_loss = sum(
-                chain.sequence_nll(
-                    _scores(weights, csr, len(gold)) * w_scale, transitions, gold
-                )
-                for csr, gold in valid_items
-            ) / len(valid_items)
-        else:
-            valid_loss = train_loss
-        if log is not None:
-            log.append(
-                {
-                    "epoch": epoch,
-                    "train_loss": train_loss,
-                    "valid_loss": valid_loss,
-                    "seconds": time.perf_counter() - started,
-                }
-            )
-        check_finite_losses(epoch, train_loss, valid_loss)
-        if valid_loss < best_valid:
-            best_valid = valid_loss
+        valid_losses = [
+            chain.sequence_nll(_scores(weights, csr, len(gold)) * w_scale, transitions, gold)
+            for csr, gold in valid_items
+        ]
+        # epoch 1 is a best: its finite loss is below the initial infinity
+        if stopping.improved(epoch, epoch_nll / n, valid_losses):
             weights *= w_scale
             w_scale = 1.0
             best_params = (weights.copy(), transitions.copy())
-            epochs_since_best = 0
-        else:
-            epochs_since_best += 1
-            if epochs_since_best >= config.patience:
-                break
 
     weights, transitions = best_params
     return CrfModel(
@@ -338,7 +309,7 @@ def train_crf(corpus, valid, config, task="single", embeddings=None, log=None):
             "sentences": len(corpus),
             "task": task,
             "seed": config.seed,
-            "best_valid_nll": float(best_valid),
+            "best_valid_nll": float(stopping.best_loss),
         },
     )
 

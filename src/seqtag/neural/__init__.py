@@ -20,7 +20,6 @@ from seqtag.neural.tagger import (
     Prediction,
     batch_loss_and_gradients,
     build_tagger,
-    format_training_log,
     sentence_loss,
     tag_neural,
     train_neural,
@@ -40,7 +39,6 @@ __all__ = [
     "bilstm_encode",
     "build_tagger",
     "crf_head_loss",
-    "format_training_log",
     "joint_loss",
     "sentence_loss",
     "softmax_head_loss",

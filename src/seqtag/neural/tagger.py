@@ -17,16 +17,15 @@ validation loss, and the best epoch's parameters are restored.
 from __future__ import annotations
 
 import copy
-import time
 import warnings
 from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
 
-from seqtag import chain, check_finite_gradients, check_finite_losses, sum_rows
-from seqtag.corpus import NER_LABELS, POS_TAGS
-from seqtag.embeddings import EmbeddingConfig, compose, init_random, ngram_bucket_ids
+from seqtag import TASKS, EarlyStopping, chain, check_finite_gradients, sum_rows
+from seqtag.corpus import NER_INDEX, NER_LABELS, POS_INDEX, POS_TAGS
+from seqtag.embeddings import MODES, EmbeddingConfig, compose, init_random, ngram_bucket_ids
 from seqtag.neural.adam import AdamState, adam_step, adam_step_rows
 from seqtag.neural.heads import (
     crf_head_backward,
@@ -39,17 +38,12 @@ from seqtag.neural.heads import (
 from seqtag.neural.lstm import LstmParams, lstm_backward, lstm_forward
 
 INFERENCE_KINDS = ("softmax", "crf")
-TASKS = ("single", "joint")
-EMBEDDING_MODES = ("random", "frozen", "finetuned")
 # the paper's hidden and batch sizes for each embedding mode
 REGIME_SIZES = {
     "random": {"hidden_size": 128, "batch_size": 32},
     "frozen": {"hidden_size": 256, "batch_size": 64},
     "finetuned": {"hidden_size": 256, "batch_size": 64},
 }
-
-_NER_INDEX = {label: i for i, label in enumerate(NER_LABELS)}
-_POS_INDEX = {pos: i for i, pos in enumerate(POS_TAGS)}
 
 
 @dataclass(frozen=True)
@@ -63,7 +57,7 @@ class Architecture:
             raise ValueError(f"unknown inference kind {self.inference!r}")
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
-        if self.embedding_mode not in EMBEDDING_MODES:
+        if self.embedding_mode not in MODES:
             raise ValueError(f"unknown embedding mode {self.embedding_mode!r}")
 
 
@@ -272,9 +266,9 @@ def _row_entries(infos, dxs):
 
 
 def _gold_ids(sentence, task):
-    gold = {"ner": [_NER_INDEX[t.ner] for t in sentence]}
+    gold = {"ner": [NER_INDEX[t.ner] for t in sentence]}
     if task == "joint":
-        gold["pos"] = [_POS_INDEX[t.pos] for t in sentence]
+        gold["pos"] = [POS_INDEX[t.pos] for t in sentence]
     return gold
 
 
@@ -443,11 +437,6 @@ def train_neural(train, valid, arch, config, embeddings=None,
     """
     if len(train) == 0:
         raise ValueError("empty training corpus")
-    if arch.task == "joint":
-        for sentence in train:
-            for token in sentence:
-                if token.pos not in _POS_INDEX:
-                    raise ValueError("joint training needs POS tags on every token")
 
     if arch.embedding_mode == "random":
         if embeddings is not None:
@@ -484,13 +473,9 @@ def train_neural(train, valid, arch, config, embeddings=None,
     sentences = list(train)
     valid_sentences = list(valid)
 
-    records = log if log is not None else []
-    best_valid = np.inf
+    stopping = EarlyStopping(config.max_epochs, config.patience, log)
     best_snap = _snapshot(model)
-    since_best = 0
-
-    for epoch in range(1, config.max_epochs + 1):
-        started = time.perf_counter()
+    for epoch in stopping:
         rng.shuffle(order)
         epoch_loss = 0.0
         for start in range(0, len(sentences), batch_size):
@@ -510,31 +495,11 @@ def train_neural(train, valid, arch, config, embeddings=None,
             adam_step(params, grads, adam, **adam_settings)
             for slot, (rows, grad) in (emb_grads or {}).items():
                 adam_step_rows(emb_matrices[slot], rows, grad, adam, slot, **adam_settings)
-        train_loss = epoch_loss / len(sentences)
-        if valid_sentences:
-            valid_loss = sum(
-                sentence_loss(model, s, config.joint_loss_weight)
-                for s in valid_sentences
-            ) / len(valid_sentences)
-        else:
-            valid_loss = train_loss
-        records.append(
-            {
-                "epoch": epoch,
-                "train_loss": train_loss,
-                "valid_loss": valid_loss,
-                "seconds": time.perf_counter() - started,
-            }
-        )
-        check_finite_losses(epoch, train_loss, valid_loss)
-        if valid_loss < best_valid:
-            best_valid = valid_loss
+        valid_losses = [
+            sentence_loss(model, s, config.joint_loss_weight) for s in valid_sentences
+        ]
+        if stopping.improved(epoch, epoch_loss / len(sentences), valid_losses):
             best_snap = _snapshot(model)
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= config.patience:
-                break
 
     _restore(model, best_snap)
     model.trained_on = {
@@ -542,18 +507,10 @@ def train_neural(train, valid, arch, config, embeddings=None,
         "inference": arch.inference,
         "embedding_mode": arch.embedding_mode,
         "seed": config.seed,
-        "epochs_run": len(records),
-        "best_valid_loss": float(best_valid),
+        "epochs_run": len(stopping.log),
+        "best_valid_loss": float(stopping.best_loss),
     }
-    return model, records
-
-
-def format_training_log(records):
-    return [
-        "epoch={epoch} train_loss={train_loss:.6f} valid_loss={valid_loss:.6f} "
-        "seconds={seconds:.3f}".format(**r)
-        for r in records
-    ]
+    return model, stopping.log
 
 
 # ---------------------------------------------------------------------------

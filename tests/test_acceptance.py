@@ -54,8 +54,6 @@ from seqtag.neural import (
 )
 from seqtag.neural.lstm import LstmParams
 
-pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
-
 
 @contextlib.contextmanager
 def criterion(ident):

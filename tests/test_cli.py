@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -9,8 +10,6 @@ from seqtag.corpus import write_conll
 from seqtag.crf import tag_crf_full
 from seqtag.embeddings import embed
 from seqtag.modelfile import load_model
-
-pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
 
 @pytest.fixture
@@ -281,6 +280,7 @@ def test_joint_neural_tag_emits_pos_column(tmp_path, capsys):
     assert len(first) == 3  # surface, ner, pos
 
 
+@pytest.mark.filterwarnings("always::UserWarning")  # past the ini-level ignore
 def test_train_prints_each_warning_as_one_line(tmp_path, capsys):
     train = write_corpus(tmp_path, make_corpus(12, seed=31), "train.conll")
     model_out = tmp_path / "warn.bin"
@@ -291,9 +291,7 @@ def test_train_prints_each_warning_as_one_line(tmp_path, capsys):
         "bucket_count = 16\n",
         encoding="utf-8",
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("always", UserWarning)  # past the module's ignore filter
-        assert main(["train", str(config_path)]) == 0
+    assert main(["train", str(config_path)]) == 0
     err = capsys.readouterr().err.splitlines()
     warning = "warning: hidden_size 6 deviates from the 128 default for random embeddings"
     assert [line for line in err if line.startswith("warning")] == [warning]
@@ -380,11 +378,28 @@ def test_pretrained_embedding_without_vectors_is_usage_error(tmp_path, sample_fi
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     config_path = tmp_path / "bad.cfg"
-    config_path.write_text("model = crf\nwat = 1\n", encoding="utf-8")
-    assert main(["train", str(config_path)]) == 2
+    # no command reads a held-out path, so a test key is refused too
+    for text in ("model = crf\nwat = 1\n", "model = crf\ntest = held_out.conll\n"):
+        config_path.write_text(text, encoding="utf-8")
+        assert main(["train", str(config_path)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "error: line 2: unknown key 'test'"
 
 
 BILSTM = {"model": "bilstm-softmax", "embedding": "random", "dim": 6, "hidden_size": 6}
+
+
+def test_crf_and_bilstm_logs_share_one_epoch_line(tmp_path):
+    train = write_corpus(tmp_path, make_corpus(8, seed=35), "train.conll")
+    epoch_line = re.compile(
+        r"epoch=(\d+) train_loss=\d+\.\d{6} valid_loss=\d+\.\d{6} seconds=\d+\.\d{3}"
+    )
+    for name, extra in (("crf", {}), ("bilstm", dict(BILSTM, bucket_count=16))):
+        model_out = tmp_path / f"{name}.bin"
+        config = crf_config(tmp_path, train, model_out, epochs=3, patience=3, **extra)
+        assert main(["train", str(config)]) == 0
+        lines = (tmp_path / f"{name}.bin.log").read_text(encoding="utf-8").splitlines()
+        epochs = [epoch_line.fullmatch(line) for line in lines if " = " not in line]
+        assert [int(match[1]) for match in epochs] == [1, 2, 3], name
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,7 @@ from seqtag.crf import (
     train_crf,
 )
 from seqtag.embeddings import EmbeddingConfig, init_random, load_text_vectors
+from seqtag.neural import Architecture, NeuralTrainConfig, train_neural
 
 
 def dummy_sentence(n):
@@ -364,18 +365,37 @@ def test_single_task_predictions_stay_in_inventory():
             assert label in NER_LABELS
 
 
-def test_early_stopping_respects_patience():
+def _train_crf_patience_2(train, valid, log):
+    config = small_config(epochs=50, patience=2, learning_rate=0.5, l2=0.0)
+    train_crf(train, valid, config, log=log)
+
+
+def _train_neural_patience_2(train, valid, log):
+    config = NeuralTrainConfig(
+        max_epochs=50, patience=2, learning_rate=0.05, dropout=0.0, hidden_size=8,
+        batch_size=8,
+    )
+    train_neural(
+        train, valid, Architecture("softmax", "single", "random"), config,
+        embedding_config=EmbeddingConfig(dim=8, bucket_count=32), log=log,
+    )
+
+
+@pytest.mark.parametrize(
+    "trainer", [_train_crf_patience_2, _train_neural_patience_2], ids=["crf", "neural"]
+)
+def test_early_stopping_respects_patience(trainer):
     # validation labels contradict training labels for the same surfaces,
-    # so validation NLL worsens as soon as training starts to fit
+    # so validation loss worsens as soon as training starts to fit
     train = parse_conll("x n S-LOC\ny n O\n")
     valid = parse_conll("x n O\ny n S-LOC\n")
     log = []
-    config = small_config(epochs=50, patience=2, learning_rate=0.5, l2=0.0)
-    train_crf(train, valid, config, log=log)
+    trainer(train, valid, log)
     assert len(log) < 50  # stopped early
+    # the best epoch, then patience epochs that did not improve on it
     best = min(r["valid_loss"] for r in log)
-    after_best = [r["valid_loss"] for r in log[::-1][:2]]
-    assert all(v >= best for v in after_best)
+    assert log[-3]["valid_loss"] == best
+    assert all(r["valid_loss"] >= best for r in log[-2:])
 
 
 @pytest.mark.parametrize("l2", [0.0, 0.5])

@@ -15,8 +15,6 @@ from seqtag.cli import main
 from seqtag.corpus import NER_LABELS, POS_TAGS, write_conll
 from seqtag.modelfile import load_model, save_model
 
-pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
-
 _MASK_SECONDS = re.compile(r"seconds=[0-9.]+")
 
 CELLS = [("crf", embedding, task) for embedding in ("none", "pretrained-frozen")

@@ -32,8 +32,6 @@ from seqtag.modelfile import (
 )
 from seqtag.neural import Architecture, NeuralTrainConfig, tag_neural, train_neural
 
-pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
-
 
 @pytest.fixture(scope="module")
 def corpus():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from synthgen import make_corpus
 
-from seqtag import NonFiniteLossError
+from seqtag import NonFiniteLossError, format_training_log
 from seqtag.corpus import NER_LABELS, OUTSIDE, NerLabel, Sentence, Token, parse_conll
 from seqtag.embeddings import EmbeddingConfig, init_random
 from seqtag.neural import (
@@ -12,14 +12,11 @@ from seqtag.neural import (
     NeuralTrainConfig,
     batch_loss_and_gradients,
     build_tagger,
-    format_training_log,
     sentence_loss,
     tag_neural,
     train_neural,
 )
 from seqtag.neural import tagger
-
-pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
 
 def small_config(**kw):

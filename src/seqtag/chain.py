@@ -88,12 +88,12 @@ def _scan(p, q):
     scales = np.empty(q.shape[0])
     scales[0] = q[0].sum()
     np.divide(q[0], scales[0], out=x[0])
-    for t in range(1, q.shape[0]):
-        row = x[t]
-        np.dot(x[t - 1], p, out=row)
-        row *= q[t]
-        scales[t] = row.sum()
-        row /= scales[t]
+    # np.add.reduce is row.sum() without the Python-level method wrapper
+    for t, (prev, row, q_t) in enumerate(zip(x, x[1:], q[1:]), start=1):
+        np.dot(prev, p, out=row)
+        row *= q_t
+        scales[t] = s = np.add.reduce(row)
+        row /= s
     log_x = np.log(x)
     return (x, log_x, scales) if _in_range(log_x) else None
 

@@ -18,8 +18,9 @@ import numpy as np
 from seqtag import NonFiniteLossError, format_training_log, metrics
 from seqtag.config import ConfigError, echo_config, parse_config
 from seqtag.corpus import (
+    OUTSIDE,
     CorpusError,
-    NerLabel,
+    ParseError,
     Sentence,
     Token,
     conll_blocks,
@@ -71,7 +72,7 @@ _DATA_ERRORS = (
 
 def _read_text(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise InputEncodingError(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -208,9 +209,16 @@ def cmd_train(args):
 # tagging and evaluation
 
 
-def _as_placeholder_sentence(surfaces):
-    outside = NerLabel(None, None)
-    return Sentence(tuple(Token(s, "n", outside) for s in surfaces))
+def _as_placeholder_sentence(block):
+    """The block's surfaces under placeholder tags; a surface Token refuses
+    is a ParseError at its line, as parse_conll reports it."""
+    tokens = []
+    for line_no, fields in block:
+        try:
+            tokens.append(Token(fields[0], "n", OUTSIDE))
+        except ValueError as exc:  # a carriage return inside the surface
+            raise ParseError(str(exc), line_no) from None
+    return Sentence(tuple(tokens))
 
 
 def _predict(model, sentence):
@@ -230,7 +238,7 @@ def cmd_tag(args):
     # POS/NER columns are accepted and ignored
     for block in conll_blocks(_read_text(args.input)):
         surfaces = [fields[0] for _, fields in block]
-        sentence = _as_placeholder_sentence(surfaces)
+        sentence = _as_placeholder_sentence(block)
         ner, pos = _predict(model, sentence)
         lines = []
         for i, surface in enumerate(surfaces):

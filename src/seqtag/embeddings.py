@@ -12,10 +12,19 @@ the bucket count. FNV-1a is a left fold over bytes, so hashing takes one
 pass per start position of '<word>': the state after n characters is the
 hash of the n-gram of length n there. No n-gram string is built, and
 each byte is folded once per start position.
+
+A text vector file is a "count dim" header and one "word v1 .. v_dim"
+row per line. Lines end at "\n" or "\r\n"; the word ends at the first
+space or tab, so it may hold any other Unicode space or line break; the
+values may be spelled any way float() accepts. A file whose values are
+separated by single spaces is parsed in one np.loadtxt call; any other
+file, malformed ones included, goes through the per-line parser, which
+gives the same table or raises the error.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,14 +166,11 @@ def embed(table, word):
 
 
 def load_text_vectors(text, config):
-    """Read a "count dim" header plus one "word v1 .. v_dim" row per line.
-
-    Rows split like corpus lines: lines end at "\n" only, and the word
-    ends at the first space or tab, so a word may hold any other Unicode
-    space or line break. The bucket block is empty (0 x dim), as text
-    vector files carry no subword table; config's n-gram fields go
-    unused. The UNK fallback is the mean of all loaded vectors. Callers
-    pick the mode afterwards.
+    """Read a text vector file, in the row format the module docstring
+    states. The bucket block is empty (0 x dim), as text vector files
+    carry no subword table; config's n-gram fields go unused. The UNK
+    fallback is the mean of all loaded vectors. Callers pick the mode
+    afterwards.
     """
     lines = text.removesuffix("\n").split("\n")
     if not lines[0].strip():
@@ -183,10 +189,62 @@ def load_text_vectors(text, config):
             f"file dimension {dim} does not match configured dim {config.dim}"
         )
 
+    parsed = _parse_rows_bulk(lines[1:], count, dim) if count else None
+    vocab, vectors = parsed or _parse_rows(lines[1:], count, dim)
+    unk = vectors.mean(axis=0) if count else np.zeros(dim)
+    return EmbeddingTable(
+        vocab=vocab,
+        word_vectors=vectors,
+        ngram_buckets=np.zeros((0, dim)),
+        min_n=config.min_n,
+        max_n=config.max_n,
+        mode="frozen",
+        unk_vector=unk,
+    )
+
+
+def _parse_rows_bulk(rows, count, dim):
+    """(vocab, vectors) from one np.loadtxt over the rows' value fields, or
+    None unless that gives count rows of dim values under distinct words.
+    loadtxt takes single spaces between values and a subset of float()'s
+    spellings, to the same bits; _parse_rows takes the rest. The fields
+    stream into loadtxt; no list of them is built.
+    """
+    words = []
+
+    def value_fields():
+        for line in rows:
+            line = line.strip(" \t\r")
+            if line:
+                word, *rest = FIELD_SEP.split(line, maxsplit=1)
+                if not rest:
+                    raise ValueError("word without values")
+                words.append(word)
+                yield rest[0]
+
+    fields = value_fields()
+    try:
+        first = next(fields, None)
+        if first is None:  # loadtxt warns on an input with no rows
+            return None
+        vectors = np.loadtxt(
+            itertools.chain((first,), fields), dtype=float, delimiter=" ",
+            comments=None, quotechar=None, ndmin=2,
+        )
+    except ValueError:
+        return None
+    if vectors.shape != (count, dim):
+        return None
+    vocab = {word: row for row, word in enumerate(words)}
+    return (vocab, vectors) if len(vocab) == len(words) == count else None
+
+
+def _parse_rows(rows, count, dim):
+    """(vocab, vectors) row by row; the source of every row error."""
     vocab = {}
     vectors = np.zeros((count, dim))
     row = 0
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in enumerate(rows, start=2):
         line = line.strip(" \t\r")
         if not line:
             continue
@@ -210,17 +268,7 @@ def load_text_vectors(text, config):
         row += 1
     if row != count:
         raise EmbeddingFormatError(f"declared {count} rows, found {row}")
-
-    unk = vectors.mean(axis=0) if count else np.zeros(dim)
-    return EmbeddingTable(
-        vocab=vocab,
-        word_vectors=vectors,
-        ngram_buckets=np.zeros((0, dim)),
-        min_n=config.min_n,
-        max_n=config.max_n,
-        mode="frozen",
-        unk_vector=unk,
-    )
+    return vocab, vectors
 
 
 def init_random(vocab, config):

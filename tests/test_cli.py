@@ -6,7 +6,7 @@ import pytest
 from synthgen import make_corpus
 
 from seqtag.cli import main
-from seqtag.corpus import write_conll
+from seqtag.corpus import ParseError, parse_conll, write_conll
 from seqtag.crf import tag_crf_full
 from seqtag.embeddings import embed
 from seqtag.modelfile import load_model
@@ -179,6 +179,44 @@ def test_tag_input_splits_fields_like_the_corpus_parser(tmp_path, sample_file, c
     assert main(["tag", str(model_out), str(text)]) == 0
     rows = [line.split("\t") for line in capsys.readouterr().out.rstrip("\n").split("\n")]
     assert [row[0] for row in rows] == ["\u00a0", "\x0b", "a\u00a0b", "x"]
+
+
+@pytest.mark.parametrize("argv", [["validate", "BAD"], ["tag", "MODEL", "BAD"]],
+                         ids=["validate", "tag"])
+def test_lone_carriage_return_is_the_corpus_parser_error(tmp_path, sample_file, capsys, argv):
+    # a lone "\r" does not end a line: the CLI reads what parse_conll reads
+    text = "x n O\na\rb n O\n"
+    with pytest.raises(ParseError) as exc:
+        parse_conll(text)
+    bad = tmp_path / "cr.conll"
+    bad.write_bytes(text.encode("utf-8"))
+    got = run_with_bad_input(tmp_path, sample_file, capsys, argv, bad)
+    assert got == (1, [f"error: {exc.value}"])
+    assert exc.value.line_no == 2
+
+
+def test_crlf_inputs_read_as_their_lf_forms(tmp_path, sample_text, capsys):
+    # CRLF corpus, config and vector file: the same outputs and model bytes
+    vectors = "2 3\n\u1019\u1014\u1039\u1010\u101c\u1031\u1038 0.1 -0.2 3e-1\n\u104c 1 0 -1\n"
+    seen = []
+    for eol in ("\n", "\r\n"):
+        run = tmp_path / ("crlf" if eol == "\r\n" else "lf")
+        run.mkdir()
+        corpus, vector_file = run / "train.conll", run / "vectors.txt"
+        corpus.write_bytes(sample_text.replace("\n", eol).encode("utf-8"))
+        vector_file.write_bytes(vectors.replace("\n", eol).encode("utf-8"))
+        model_out = run / "model.bin"
+        config = crf_config(tmp_path, corpus, model_out, epochs=2, dim=3, vectors=vector_file,
+                            embedding="pretrained-frozen")
+        config.write_bytes(config.read_bytes().replace(b"\n", eol.encode()))
+        assert main(["train", str(config)]) == 0
+        assert main(["stats", str(corpus)]) == 0
+        assert main(["dump-features", str(corpus), "--sentence", "0", "--position", "0",
+                     "--vectors", str(vector_file), "--dim", "3"]) == 0
+        assert main(["tag", str(model_out), str(corpus)]) == 0
+        seen.append((capsys.readouterr().out, model_out.read_bytes()))
+    assert seen[0] == seen[1]
+    assert "emb0\t0.1\n" in seen[0][0]  # the vector file was read
 
 
 # ---------------------------------------------------------------------------

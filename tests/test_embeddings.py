@@ -1,3 +1,5 @@
+import re
+import tracemalloc
 import types
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqtag import embeddings
 from seqtag.embeddings import (
     EmbeddingConfig,
     EmbeddingFormatError,
@@ -206,6 +209,149 @@ def test_load_unk_is_mean_of_rows():
     table = load_text_vectors("2 3\na 1 0 0\nb 0 1 0\n", small_config())
     np.testing.assert_allclose(table.unk_vector, [0.5, 0.5, 0.0])
     np.testing.assert_allclose(embed(table, "missing"), [0.5, 0.5, 0.0])
+
+
+def reference_load(text, dim):
+    """The per-line reader, transcribed: (vocab, vectors, unk), or the
+    EmbeddingFormatError it raises."""
+    lines = text.removesuffix("\n").split("\n")
+    if not lines[0].strip():
+        raise EmbeddingFormatError("missing header line", line_no=1)
+    header = lines[0].split()
+    if len(header) != 2:
+        raise EmbeddingFormatError("header must be 'count dim'", line_no=1)
+    try:
+        count, file_dim = int(header[0]), int(header[1])
+    except ValueError:
+        raise EmbeddingFormatError("header must be 'count dim'", line_no=1) from None
+    if not 0 <= count < len(lines):
+        raise EmbeddingFormatError(f"count {count} outside 0..{len(lines) - 1}", 1)
+    if file_dim != dim:
+        raise EmbeddingFormatError(
+            f"file dimension {file_dim} does not match configured dim {dim}"
+        )
+    vocab = {}
+    vectors = np.zeros((count, dim))
+    for line_no, line in enumerate(lines[1:], start=2):
+        line = line.strip(" \t\r")
+        if not line:
+            continue
+        word, *rest = re.split(r"[ \t]+", line, maxsplit=1)
+        values = rest[0].split() if rest else []
+        if len(values) != dim:
+            raise EmbeddingFormatError(
+                f"expected word + {dim} floats, got {len(values) + 1} fields", line_no
+            )
+        if word in vocab:
+            raise EmbeddingFormatError(f"duplicate word {word!r}", line_no)
+        if len(vocab) >= count:
+            raise EmbeddingFormatError(f"more rows than the declared count {count}", line_no)
+        try:
+            vectors[len(vocab)] = [float(x) for x in values]
+        except ValueError:
+            raise EmbeddingFormatError("non-numeric vector component", line_no) from None
+        vocab[word] = len(vocab)
+    if len(vocab) != count:
+        raise EmbeddingFormatError(f"declared {count} rows, found {len(vocab)}")
+    return vocab, vectors, vectors.mean(axis=0) if count else np.zeros(dim)
+
+
+def load_outcome(load, text, dim):
+    """What a reader makes of text: the table's vocab and bits, or the
+    error's type, message and line number."""
+    try:
+        vocab, vectors, unk = load(text, dim)
+    except EmbeddingFormatError as exc:
+        return type(exc), str(exc), exc.line_no
+    bits = vectors.view(np.int64).tolist(), unk.view(np.int64).tolist()
+    return list(vocab.items()), vectors.shape, bits
+
+
+def program_load(text, dim):
+    table = load_text_vectors(text, EmbeddingConfig(dim=dim))
+    return table.vocab, table.word_vectors, table.unk_vector
+
+
+# the Myanmar block, a no-break space and a line separator: none ends a word
+_WORD_CHARS = st.one_of(st.characters(min_codepoint=0x1000, max_codepoint=0x109F),
+                        st.sampled_from("\u00a0\u2028"))
+_PLAIN_SPELLINGS = st.one_of(
+    st.floats().map(repr),
+    st.floats(-1e6, 1e6).map(lambda v: f"{v:.5f}"),
+    st.floats(allow_nan=False).map(lambda v: f"{v:e}"),
+    st.sampled_from(["inf", "-Infinity", "nan", "-nan", "1e-400", "4.9e-324", "-0.0", "+.5"]),
+)
+# spellings float() takes and np.loadtxt does not, and ones neither takes
+_ODD_SPELLINGS = st.sampled_from(["1_000", "١٢", "၁.၅", "1,5", "x", "0x1p3", ""])
+
+
+@st.composite
+def vector_files(draw):
+    """(text, dim): mostly fastText-like files, with odd spellings,
+    separators, blank lines, short or long rows, duplicate words and
+    wrong counts in the rest."""
+    odd = draw(st.booleans())
+    dim = draw(st.integers(1, 4))
+    words = draw(st.lists(st.text(_WORD_CHARS, min_size=1, max_size=3), max_size=6,
+                          unique=True))
+    if odd and words and draw(st.booleans()):
+        words.append(draw(st.sampled_from(words)))
+    spellings = st.one_of(_PLAIN_SPELLINGS, _ODD_SPELLINGS) if odd else _PLAIN_SPELLINGS
+    gaps = st.sampled_from([" ", " ", " ", "  ", "\t", " \t"]) if odd else st.just(" ")
+    lines = []
+    for word in words:
+        n_values = dim + (draw(st.sampled_from([0, 0, 0, -1, 1])) if odd else 0)
+        values = draw(st.lists(spellings, min_size=n_values, max_size=n_values))
+        trailing = draw(st.sampled_from(["", " "]))  # fastText ends rows with a space
+        lines.append(word + "".join(draw(gaps) + v for v in values) + trailing)
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\r"])))
+    count = len(words) + (draw(st.sampled_from([0, 0, -1, 1])) if odd else 0)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join([f"{count} {dim}", *lines]) + draw(st.sampled_from([eol, ""])), dim
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the mean of inf and -inf
+@settings(max_examples=400, deadline=None)
+@given(vector_files())
+def test_load_matches_per_line_reference(file):
+    text, dim = file
+    assert load_outcome(program_load, text, dim) == load_outcome(reference_load, text, dim)
+
+
+def test_load_single_space_rows_in_one_bulk_parse(monkeypatch):
+    # fastText's layout: CRLF line ends, a trailing space, single spaces
+    text = "2 3\r\nက 1.5 -0.0 nan \r\nခ 1e-400 inf 2 \r\n"
+    expected = load_outcome(reference_load, text, 3)
+
+    def per_line(*args):
+        raise AssertionError("per-line reader called")
+
+    monkeypatch.setattr(embeddings, "_parse_rows", per_line)
+    assert load_outcome(program_load, text, 3) == expected
+    with pytest.raises(AssertionError, match="per-line"):
+        load_text_vectors("2 3\nက 1.5\t-0.0 nan\nခ 1e-400 inf 2\n", small_config())
+
+
+def test_load_peak_memory_holds_one_copy_of_the_rows():
+    # 5,000 x 300, 14.3 MB of text. The per-line reader peaks at 28,839,046
+    # traced bytes (CPython 3.11, numpy 2.4) while splitting the text into
+    # lines; the lines and the 12 MB table stay below that, and a list of
+    # the rows' value fields beside them would not
+    values = np.random.default_rng(0).uniform(-1, 1, (5000, 300)).tolist()
+    text = "5000 300\n" + "".join(
+        f"w{i} " + " ".join(f"{v:.6f}" for v in row) + "\n" for i, row in enumerate(values)
+    )
+    config = EmbeddingConfig(dim=300)
+    load_text_vectors("1 300\nw " + "0 " * 300, config)  # first-call allocations
+    tracemalloc.start()
+    try:
+        table = load_text_vectors(text, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.word_vectors.shape == (5000, 300)
+    assert peak <= 1.05 * 28_839_046
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from dataclasses import fields
 
 import numpy as np
 
@@ -30,21 +29,15 @@ from seqtag.corpus import (
     tag_statistics,
     validate_bioes,
 )
-from seqtag.crf import CrfTrainConfig, tag_crf, tag_crf_full, train_crf
+from seqtag.crf import tag_crf, tag_crf_full, train_crf
 from seqtag.embeddings import (
     EmbeddingConfig,
     EmbeddingFormatError,
     load_text_vectors,
 )
-from seqtag.features import extract_features
+from seqtag.features import sentence_features
 from seqtag.modelfile import ModelFileError, load_model, save_model
-from seqtag.neural import (
-    Architecture,
-    NeuralTagger,
-    NeuralTrainConfig,
-    tag_neural,
-    train_neural,
-)
+from seqtag.neural import Architecture, NeuralTagger, tag_neural, train_neural
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -122,7 +115,7 @@ def cmd_dump_features(args):
     table = None
     if args.vectors:
         table = load_text_vectors(_read_text(args.vectors), embedding_config)
-    features = extract_features(sentence, args.position, table)
+    features = sentence_features(sentence, table)[args.position]
     for key in sorted(features):
         print(f"{key}\t{features[key]:g}")
     return EXIT_OK
@@ -132,13 +125,6 @@ def cmd_dump_features(args):
 # training
 
 
-def _from_run_config(cls, config):
-    """A cls dataclass from the RunConfig fields of the same name; a
-    trainer's max_epochs is the config's epochs."""
-    values = {**vars(config), "max_epochs": config.epochs}
-    return cls(**{f.name: values[f.name] for f in fields(cls)})
-
-
 def cmd_train(args):
     try:
         config = parse_config(_read_text(args.config))
@@ -146,17 +132,12 @@ def cmd_train(args):
             override = getattr(args, key)
             if override:
                 setattr(config, key, override)
-        config = config.resolved()
         if not config.train:
             raise ConfigError("missing train path")
         if not config.model_out:
             raise ConfigError("missing model_out path")
         if config.embedding.startswith("pretrained") and not config.vectors:
             raise ConfigError(f"embedding {config.embedding} needs a vectors path")
-        # both configs reject out-of-range values
-        embedding_config = _from_run_config(EmbeddingConfig, config)
-        trainer = CrfTrainConfig if config.model == "crf" else NeuralTrainConfig
-        train_config = _from_run_config(trainer, config)
     except (ConfigError, OSError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
 
@@ -174,7 +155,7 @@ def cmd_train(args):
         valid = train
     embeddings = None
     if config.embedding.startswith("pretrained"):
-        embeddings = load_text_vectors(_read_text(config.vectors), embedding_config)
+        embeddings = load_text_vectors(_read_text(config.vectors), config.table)
 
     # overflow on the way to a non-finite loss is reported once, by
     # check_finite_losses, not as numpy warnings before it
@@ -182,15 +163,15 @@ def cmd_train(args):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if config.model == "crf":
             model = train_crf(
-                train, valid, train_config, task=config.task, embeddings=embeddings,
+                train, valid, config.trainer, task=config.task, embeddings=embeddings,
                 log=records,
             )
         else:
             arch = Architecture(config.inference, config.task, config.embedding_mode)
             model, _ = train_neural(
-                train, valid, arch, train_config,
+                train, valid, arch, config.trainer,
                 embeddings=embeddings,
-                embedding_config=embedding_config,
+                embedding_config=config.table,
                 log=records,
             )
 

@@ -1,16 +1,24 @@
 """Run configuration: line-oriented ``key = value`` files describing one
-training run, with defaults resolved per model kind and embedding regime.
+training run.
 
-The resolved config echoes back as a loadable config that reproduces the
-run. Unknown keys are rejected.
+The run's own keys are the model kind, task, embedding regime and the
+data and output paths. Every other key sets the field of the same name
+of ``CrfTrainConfig``, ``NeuralTrainConfig`` (``epochs`` sets its
+``max_epochs``) or ``EmbeddingConfig``, and those classes own each
+setting's type, default and range; a BiLSTM run fills its unset sizes
+from ``REGIME_SIZES``. The other model's keys are accepted and unused.
+Lines end at "\n" or "\r\n". Unknown keys are rejected.
+
+The config echoes back as a loadable config that reproduces the run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from seqtag import TASKS
 from seqtag.crf import CrfTrainConfig
+from seqtag.embeddings import EmbeddingConfig
 from seqtag.neural.tagger import REGIME_SIZES, NeuralTrainConfig
 
 MODEL_KINDS = ("crf", "bilstm-softmax", "bilstm-crf")
@@ -30,27 +38,9 @@ class RunConfig:
     valid: str | None = None
     vectors: str | None = None
     model_out: str | None = None
-    seed: int = 0
-    # shared schedule
-    epochs: int = 50
-    patience: int = 5
-    learning_rate: float | None = None   # None -> the trainer's default
-    batch_size: int | None = None        # None -> the trainer's or REGIME_SIZES
-    # classical crf
-    l2: float = 0.1
-    shuffle: bool = True
-    # neural
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    dropout: float = 0.5
-    joint_loss_weight: float = 1.0
-    hidden_size: int | None = None       # None -> REGIME_SIZES (bilstm)
-    # embedding table
-    dim: int = 300
-    min_n: int = 3
-    max_n: int = 6
-    bucket_count: int = 50_000
+    # built by parse_config from the other keys
+    trainer: CrfTrainConfig | NeuralTrainConfig | None = None
+    table: EmbeddingConfig | None = None
 
     def __post_init__(self):
         if self.model not in MODEL_KINDS:
@@ -86,21 +76,15 @@ class RunConfig:
             "pretrained-finetuned": "finetuned",
         }.get(self.embedding)
 
-    def resolved(self):
-        """Fill model-dependent defaults so the echo is fully explicit."""
-        if self.model == "crf":
-            defaults = {"learning_rate": CrfTrainConfig.learning_rate,
-                        "batch_size": CrfTrainConfig.batch_size}
-        else:
-            defaults = {"learning_rate": NeuralTrainConfig.learning_rate,
-                        **REGIME_SIZES[self.embedding_mode]}
-        return replace(self, **{key: value for key, value in defaults.items()
-                                if getattr(self, key) is None})
 
-
-# each key's type, from its annotation: "float | None" -> "float"
-_TYPES = {f.name: f.type.split(" | ")[0] for f in fields(RunConfig)}
-_PATH_KEYS = ("train", "valid", "vectors", "model_out")
+_RUN_KEYS = ("model", "task", "embedding", "train", "valid", "vectors", "model_out")
+_PATH_KEYS = _RUN_KEYS[3:]
+# each section key's type, from its annotation: "float | None" -> "float"
+_TYPES = {f.name: f.type.split(" | ")[0]
+          for cls in (CrfTrainConfig, NeuralTrainConfig, EmbeddingConfig)
+          for f in fields(cls)}
+del _TYPES["max_epochs"]  # the key epochs sets it
+_TYPES.update(dict.fromkeys(_RUN_KEYS, "str"))
 
 
 def _convert(key, raw):
@@ -123,7 +107,9 @@ def _convert(key, raw):
 def parse_config(text):
     """Parse ``key = value`` lines (blank lines and #-comments allowed)."""
     values = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    # lines end at "\n" alone, as in corpora and vector files; strip()
+    # takes the "\r" of a CRLF line end
+    for line_no, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -139,7 +125,25 @@ def parse_config(text):
         values[key] = _convert(key, raw)
     if "model" not in values:
         raise ConfigError("missing required key 'model'")
-    return RunConfig(**values)
+    config = RunConfig(**{key: values.pop(key) for key in _RUN_KEYS if key in values})
+    config.table = _section(EmbeddingConfig, values)
+    if config.model == "crf":
+        config.trainer = _section(CrfTrainConfig, values)
+    else:
+        sizes = REGIME_SIZES[config.embedding_mode]
+        config.trainer = _section(NeuralTrainConfig, {**sizes, **values})
+    return config
+
+
+def _section(cls, values):
+    """cls from the keys that name its fields; epochs sets max_epochs."""
+    names = {f.name for f in fields(cls)}
+    if "max_epochs" in names and "epochs" in values:
+        values = {**values, "max_epochs": values["epochs"]}
+    try:
+        return cls(**{key: value for key, value in values.items() if key in names})
+    except ValueError as exc:  # a value out of the field's range
+        raise ConfigError(str(exc)) from None
 
 
 _ECHO_COMMON = ("task", "model", "embedding", "seed", "epochs", "patience",
@@ -151,22 +155,24 @@ _ECHO_EMBEDDING = ("dim", "min_n", "max_n", "bucket_count")
 
 
 def echo_config(config, include_paths=True):
-    """Resolved config as loadable ``key = value`` lines.
+    """The config as loadable ``key = value`` lines, every setting explicit.
 
     include_paths=False drops the path keys: that variant defines the run
     semantically and is what gets embedded in model files, so files from
     identical runs match byte for byte regardless of where they land.
     """
-    config = config.resolved()
+    # each key's value from the config that owns it
+    values = {**vars(config.table), **vars(config.trainer), **vars(config)}
+    values.setdefault("epochs", values.get("max_epochs"))
     keys = list(_ECHO_COMMON)
     keys += _ECHO_CRF if config.model == "crf" else _ECHO_NEURAL
     if config.embedding != "none":
         keys += _ECHO_EMBEDDING
     if include_paths:
-        keys += [k for k in _PATH_KEYS if getattr(config, k) is not None]
+        keys += [k for k in _PATH_KEYS if values[k] is not None]
     lines = []
     for key in keys:
-        value = getattr(config, key)
+        value = values[key]
         if isinstance(value, bool):
             value = "true" if value else "false"
         elif isinstance(value, float):

@@ -245,10 +245,6 @@ def write_conll(corpus):
     return "\n\n".join(blocks) + "\n"
 
 
-def _expects_continuation(label):
-    return label.position in ("B", "I")
-
-
 def _continues(prev, label):
     # prev must be B-X or I-X of the same entity type
     return prev.position in ("B", "I") and prev.entity == label.entity

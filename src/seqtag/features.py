@@ -8,10 +8,9 @@ vectors are sparse string-keyed maps; indicators carry value 1.0.
 A CRF model's embedding table adds its composed word vectors as features.
 
 sentence_features builds every position's map in one pass over the
-sentence's surfaces; extract_features returns one entry of it. Within
-a map, keys come in a fixed order (the order above, affixes as pre1,
-suf1, pre2, ...), which fixes the order in which training assigns
-feature rows.
+sentence's surfaces. Within a map, keys come in a fixed order (the order
+above, affixes as pre1, suf1, pre2, ...), which fixes the order in which
+training assigns feature rows.
 """
 
 from __future__ import annotations
@@ -28,20 +27,12 @@ _DIGITS = frozenset(_ASCII_DIGITS | _MYANMAR_DIGITS)
 _BUCKET_KEYS = tuple(f"pos_bucket={b}" for b in range(10))
 
 
-def extract_features(sentence, i, embeddings=None):
-    """Sparse feature map for position i of a sentence.
+def sentence_features(sentence, embeddings=None):
+    """One sparse feature map per token.
 
     With an embedding table, the nonzero components of the composed word
     vector are added as dense features emb0..emb{dim-1}.
     """
-    n = len(sentence)
-    if not 0 <= i < n:
-        raise IndexError(f"position {i} outside sentence of length {n}")
-    return sentence_features(sentence, embeddings)[i]
-
-
-def sentence_features(sentence, embeddings=None):
-    """One sparse feature map per token, as extract_features gives it."""
     surfaces = [token.surface for token in sentence.tokens]
     n = len(surfaces)
     last = n - 1

@@ -27,46 +27,48 @@ class AdamState:
         return self.m[name], self.v[name]
 
 
+def _update(param, grad, m, v, t, learning_rate, beta1, beta2, epsilon):
+    """One Adam update of param, m and v in place: the textbook formula's
+    operations in its order, through two scratch arrays."""
+    scratch = np.multiply(1.0 - beta1, grad)
+    m *= beta1
+    m += scratch
+    np.multiply(grad, grad, out=scratch)
+    scratch *= 1.0 - beta2
+    v *= beta2
+    v += scratch
+    np.divide(m, 1.0 - beta1**t, out=scratch)  # m_hat
+    scratch *= learning_rate
+    denominator = np.divide(v, 1.0 - beta2**t)  # v_hat
+    np.sqrt(denominator, out=denominator)
+    denominator += epsilon
+    scratch /= denominator
+    param -= scratch
+
+
 def adam_step(params, grads, state, learning_rate=0.001, beta1=0.9, beta2=0.999,
               epsilon=1e-8):
     """Update every named parameter with its gradient, in place; advances
     the shared timestep."""
     state.t += 1
-    t = state.t
     for name, grad in grads.items():
         param = params[name]
         if param.shape != grad.shape:
             raise ValueError(f"gradient shape mismatch for {name!r}")
         m, v = state.slot(name, param)
-        # the textbook formula's operations in its order, through two
-        # scratch arrays
-        scratch = np.multiply(1.0 - beta1, grad)
-        m *= beta1
-        m += scratch
-        np.multiply(grad, grad, out=scratch)
-        scratch *= 1.0 - beta2
-        v *= beta2
-        v += scratch
-        np.divide(m, 1.0 - beta1**t, out=scratch)  # m_hat
-        scratch *= learning_rate
-        denominator = np.divide(v, 1.0 - beta2**t)  # v_hat
-        np.sqrt(denominator, out=denominator)
-        denominator += epsilon
-        scratch /= denominator
-        param -= scratch
+        _update(param, grad, m, v, state.t, learning_rate, beta1, beta2, epsilon)
     return params, state
 
 
 def adam_step_rows(matrix, rows, grad, state, name, learning_rate=0.001,
                    beta1=0.9, beta2=0.999, epsilon=1e-8):
     """Adam on distinct rows of a matrix, given their stacked gradients;
-    untouched rows do not move."""
+    untouched rows do not move. The rows are gathered, updated as
+    adam_step updates a dense parameter, and scattered back."""
     m, v = state.slot(name, matrix)
-    t = state.t
-    m_rows = m[rows] * beta1 + (1.0 - beta1) * grad
-    v_rows = v[rows] * beta2 + (1.0 - beta2) * grad**2
+    param_rows, m_rows, v_rows = matrix[rows], m[rows], v[rows]
+    _update(param_rows, grad, m_rows, v_rows, state.t, learning_rate, beta1, beta2,
+            epsilon)
+    matrix[rows] = param_rows
     m[rows] = m_rows
     v[rows] = v_rows
-    m_hat = m_rows / (1.0 - beta1**t)
-    v_hat = v_rows / (1.0 - beta2**t)
-    matrix[rows] -= learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)

@@ -376,11 +376,10 @@ def batch_loss_and_gradients(model, batch, joint_weight=1.0, training=False,
     return total_loss / n, grads, emb_grads
 
 
-def sentence_loss(model, sentence, joint_weight=1.0, gold=None):
+def sentence_loss(model, sentence, joint_weight=1.0):
     """Evaluation-mode loss of one sentence (no dropout)."""
     loss, _, _ = _batch_pass(
-        model, [sentence], joint_weight, False, None, {}, compute_grads=False,
-        gold=None if gold is None else [gold],
+        model, [sentence], joint_weight, False, None, {}, compute_grads=False
     )
     return loss
 
@@ -448,7 +447,7 @@ def train_neural(train, valid, arch, config, embeddings=None,
         if embeddings is None:
             raise ValueError(f"{arch.embedding_mode} mode needs a pretrained table")
         table = copy.deepcopy(embeddings)
-        table.mode = "frozen" if arch.embedding_mode == "frozen" else "finetuned"
+        table.mode = arch.embedding_mode
 
     hidden = _resolved(config, "hidden_size", arch.embedding_mode)
     batch_size = _resolved(config, "batch_size", arch.embedding_mode)

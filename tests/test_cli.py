@@ -441,19 +441,19 @@ def test_crf_and_bilstm_logs_share_one_epoch_line(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "extra",
+    "extra, message",
     [
-        dict(BILSTM, dim=0),
-        dict(BILSTM, min_n=0),
-        dict(BILSTM, min_n=4, max_n=3),
-        {"epochs": 0},
-        {"l2": -1},
-        {"batch_size": 0},
-        dict(BILSTM, dropout=1.0),
-        dict(BILSTM, patience=0),
-        dict(BILSTM, hidden_size=0),
-        dict(BILSTM, batch_size=0),
-        dict(BILSTM, joint_loss_weight=-1),
+        (dict(BILSTM, dim=0), "dim must be >= 1"),
+        (dict(BILSTM, min_n=0), "need 1 <= min_n <= max_n"),
+        (dict(BILSTM, min_n=4, max_n=3), "need 1 <= min_n <= max_n"),
+        ({"epochs": 0}, "epochs must be >= 1"),
+        ({"l2": -1}, "l2 must be >= 0"),
+        ({"batch_size": 0}, "batch_size must be >= 1"),
+        (dict(BILSTM, dropout=1.0), "dropout must be in [0, 1)"),
+        (dict(BILSTM, patience=0), "patience must be >= 1"),
+        (dict(BILSTM, hidden_size=0), "hidden_size must be >= 1"),
+        (dict(BILSTM, batch_size=0), "batch_size must be >= 1"),
+        (dict(BILSTM, joint_loss_weight=-1), "joint_loss_weight must be >= 0"),
     ],
     ids=[
         "dim-0", "min_n-0", "min_n-above-max_n", "crf-epochs-0", "crf-l2-negative",
@@ -461,12 +461,12 @@ def test_crf_and_bilstm_logs_share_one_epoch_line(tmp_path):
         "bilstm-batch_size-0", "joint_loss_weight-negative",
     ],
 )
-def test_out_of_range_config_is_usage_error(tmp_path, sample_file, capsys, extra):
+def test_out_of_range_config_is_usage_error(tmp_path, sample_file, capsys, extra, message):
     model_out = tmp_path / "model.bin"
     config = crf_config(tmp_path, sample_file, model_out, **extra)
     assert main(["train", str(config)]) == 2
     err = capsys.readouterr().err
-    assert len([l for l in err.splitlines() if l.startswith("error: ")]) == 1
+    assert [l for l in err.splitlines() if l.startswith("error: ")] == [f"error: {message}"]
     assert "Traceback" not in err
     assert not model_out.exists()
 

@@ -4,12 +4,12 @@ from hypothesis import strategies as st
 
 from seqtag.corpus import NerLabel, Sentence, Token
 from seqtag.embeddings import EmbeddingConfig, embed, init_random
-from seqtag.features import extract_features, sentence_features
+from seqtag.features import sentence_features
 
 
 def test_sample_first_token_features(sample_sentence):
     surface = sample_sentence.tokens[0].surface
-    feats = extract_features(sample_sentence, 0)
+    feats = sentence_features(sample_sentence)[0]
     assert feats["first_word"] == 1.0
     assert feats["BOS"] == 1.0
     assert feats["pos_bucket=0"] == 1.0
@@ -26,14 +26,14 @@ def test_sample_first_token_features(sample_sentence):
 
 def test_one_token_sentence_has_both_boundary_flags():
     sent = Sentence((Token("solo", "n", NerLabel(None, None)),))
-    feats = extract_features(sent, 0)
+    feats = sentence_features(sent)[0]
     assert {"first_word", "last_word", "BOS", "EOS"} <= set(feats)
 
 
 def test_myanmar_digits_set_has_digit():
     def digit_feature(surface):
         sent = Sentence((Token(surface, "num", NerLabel(None, None)),))
-        return "has_digit" in extract_features(sent, 0)
+        return "has_digit" in sentence_features(sent)[0]
 
     assert digit_feature("၁၉၉၆")
     assert digit_feature("x3y")
@@ -42,12 +42,12 @@ def test_myanmar_digits_set_has_digit():
 
 def test_hyphen_indicator():
     sent = Sentence((Token("a-b", "n", NerLabel(None, None)),))
-    assert "has_hyphen" in extract_features(sent, 0)
+    assert "has_hyphen" in sentence_features(sent)[0]
 
 
 def test_short_word_omits_long_affixes():
     sent = Sentence((Token("ab", "n", NerLabel(None, None)),))
-    feats = extract_features(sent, 0)
+    feats = sentence_features(sent)[0]
     assert "pre2=ab" in feats and "suf2=ab" in feats
     assert not any(k.startswith("pre3") or k.startswith("suf3") for k in feats)
 
@@ -56,13 +56,8 @@ def test_position_buckets_span_deciles():
     tokens = tuple(Token(f"w{i}", "n", NerLabel(None, None)) for i in range(10))
     sent = Sentence(tokens)
     for i in range(10):
-        feats = extract_features(sent, i)
+        feats = sentence_features(sent)[i]
         assert feats[f"pos_bucket={i}"] == 1.0
-
-
-def test_out_of_range_position_rejected(sample_sentence):
-    with pytest.raises(IndexError):
-        extract_features(sample_sentence, len(sample_sentence))
 
 
 def test_dense_embedding_features_match_composed_vector():
@@ -74,7 +69,7 @@ def test_dense_embedding_features_match_composed_vector():
             Token("right", "n", NerLabel(None, None)),
         )
     )
-    feats = extract_features(sent, 1, table)
+    feats = sentence_features(sent, table)[1]
     vector = embed(table, "mid")
     for k, component in enumerate(vector):
         if component != 0.0:
@@ -162,4 +157,3 @@ def test_sentence_features_match_per_position_reference(surfaces, table):
     for i, features in enumerate(maps):
         expected = reference_features(sentence, i, embeddings)
         assert list(features.items()) == list(expected.items())
-        assert extract_features(sentence, i, embeddings) == expected

@@ -698,6 +698,33 @@ def test_adam_step_rows_matches_per_row_loop_bit_for_bit(n_rows, dim, n_steps, s
         assert got[row].tobytes() == start[row].tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n_rows=st.integers(1, 20),
+    dim=st.integers(1, 6),
+    n_steps=st.integers(1, 4),
+    grad_scale=st.sampled_from([1e-9, 1.0, 1e4]),
+    hyper=st.sampled_from([(0.001, 0.9, 0.999, 1e-8), (0.02, 0.5, 0.9, 1e-3)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_adam_step_rows_over_every_row_is_the_dense_step(n_rows, dim, n_steps, grad_scale,
+                                                         hyper, seed):
+    # the rows, in a shuffled order, take adam_step's update bit for bit
+    rng = np.random.default_rng(seed)
+    dense = rng.normal(size=(n_rows, dim))
+    sparse = dense.copy()
+    dense_state, sparse_state = AdamState(), AdamState()
+    for _ in range(n_steps):
+        grad = rng.normal(0.0, grad_scale, size=(n_rows, dim))
+        rows = rng.permutation(n_rows)
+        adam_step({"w": dense}, {"w": grad.copy()}, dense_state, *hyper)
+        sparse_state.t += 1
+        adam_step_rows(sparse, rows, grad[rows], sparse_state, "w", *hyper)
+        for got, want in ((sparse, dense), (sparse_state.m["w"], dense_state.m["w"]),
+                          (sparse_state.v["w"], dense_state.v["w"])):
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_adam_step_rows_updates_a_row_view_in_place():
     # the trainer passes unk_vector[None, :]: the update must reach the vector
     unk = np.array([0.5, -1.0, 2.0])

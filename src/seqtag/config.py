@@ -6,7 +6,8 @@ data and output paths. Every other key sets the field of the same name
 of ``CrfTrainConfig``, ``NeuralTrainConfig`` (``epochs`` sets its
 ``max_epochs``) or ``EmbeddingConfig``, and those classes own each
 setting's type, default and range; a BiLSTM run fills its unset sizes
-from ``REGIME_SIZES``. The other model's keys are accepted and unused.
+from ``REGIME_SIZES``. The other model's keys are accepted and unused,
+and so are ``EmbeddingConfig``'s in a run without embeddings.
 Lines end at "\n" or "\r\n". Unknown keys are rejected.
 
 The config echoes back as a loadable config that reproduces the run.
@@ -126,7 +127,8 @@ def parse_config(text):
     if "model" not in values:
         raise ConfigError("missing required key 'model'")
     config = RunConfig(**{key: values.pop(key) for key in _RUN_KEYS if key in values})
-    config.table = _section(EmbeddingConfig, values)
+    if config.embedding != "none":
+        config.table = _section(EmbeddingConfig, values)
     if config.model == "crf":
         config.trainer = _section(CrfTrainConfig, values)
     else:
@@ -162,7 +164,8 @@ def echo_config(config, include_paths=True):
     identical runs match byte for byte regardless of where they land.
     """
     # each key's value from the config that owns it
-    values = {**vars(config.table), **vars(config.trainer), **vars(config)}
+    table = {} if config.table is None else vars(config.table)
+    values = {**table, **vars(config.trainer), **vars(config)}
     values.setdefault("epochs", values.get("max_epochs"))
     keys = list(_ECHO_COMMON)
     keys += _ECHO_CRF if config.model == "crf" else _ECHO_NEURAL

@@ -7,11 +7,13 @@ Writing is canonical (fixed block order, raw float bits), so
 save -> load -> save reproduces identical bytes and reloaded models
 predict bit-identically.
 
-A string list (a CRF's feature keys, a table's vocabulary) is a u32
-count, then per string a u32 length and its UTF-8 bytes. It is written
-as one join of its encoded strings and read back in one loop with no
-helper call per string. The layout is format v1's and does not depend
-on how it is written; a golden image in the tests pins its bytes.
+Format v2 (written) stores a string list (a CRF's feature keys, a
+table's vocabulary, labels) as a u32 count, a u64 byte size and the
+strings joined with "\n" as one UTF-8 blob: one encode to write it, one
+read, decode and split to read it back. A count of 0 is the empty list,
+so no string may hold "\n"; saving one is refused. Format v1 files
+(a u32 count, then per string a u32 length and its UTF-8 bytes) are
+still read, not written. Golden images in the tests pin both layouts.
 """
 
 from __future__ import annotations
@@ -31,12 +33,13 @@ from seqtag.neural.lstm import LstmParams
 from seqtag.neural.tagger import Head, NeuralTagger
 
 MAGIC = b"SEQL"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _KIND_F64 = 0
 _KIND_STRS = 1
 _KIND_TEXT = 2
 _U32 = struct.Struct("<I")
+_STRS_HEAD = struct.Struct("<IQ")  # v2 string list: count, byte size
 # reads up to this many bytes skip the check against the file size
 _SMALL_READ = 1 << 16
 
@@ -83,8 +86,9 @@ def _read_exact(src, n, what):
 
 
 def _read_strs(src, count, what):
-    """count strings, each a u32 length and that many UTF-8 bytes, in
-    one loop: no helper call per string."""
+    """count strings, each a u32 length and that many UTF-8 bytes (the
+    layout of names and text, and of v1 string lists), in one loop: no
+    helper call per string."""
     read, unpack = src.read, _U32.unpack
     texts = []
     append = texts.append
@@ -108,6 +112,18 @@ def _read_str(src, what):
     return _read_strs(src, 1, what)[0]
 
 
+def _read_blob_strs(src, what):
+    count, size = _STRS_HEAD.unpack(_read_exact(src, _STRS_HEAD.size, what))
+    try:
+        text = _read_exact(src, size, what).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelFileError(f"{what} is not valid UTF-8") from exc
+    texts = text.split("\n") if count or text else []
+    if len(texts) != count:
+        raise ModelFileError(f"{what} holds {len(texts)} strings, its header says {count}")
+    return texts
+
+
 def _write_block(out, name, payload):
     _write_str(out, name)
     if isinstance(payload, np.ndarray):
@@ -118,11 +134,16 @@ def _write_block(out, name, payload):
             out.write(struct.pack("<Q", size))
         out.write(array)  # its buffer, not a copy
     elif isinstance(payload, list):
+        data = "\n".join(payload).encode("utf-8")
+        # one "\n" per separator, else a string holds one; numpy counts
+        # them several times faster than bytes.count
+        breaks = np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+        if payload and breaks != len(payload) - 1:
+            text = next(t for t in payload if "\n" in t)
+            raise ModelFileError(f"block {name!r}: string {text!r} holds a line break")
         out.write(struct.pack("<B", _KIND_STRS))
-        out.write(_U32.pack(len(payload)))
-        encoded = [text.encode("utf-8") for text in payload]
-        lengths = map(_U32.pack, map(len, encoded))
-        out.write(b"".join(itertools.chain.from_iterable(zip(lengths, encoded))))
+        out.write(_STRS_HEAD.pack(len(payload), len(data)))
+        out.write(data)
     elif isinstance(payload, str):
         out.write(struct.pack("<B", _KIND_TEXT))
         _write_str(out, payload)
@@ -130,7 +151,7 @@ def _write_block(out, name, payload):
         raise TypeError(f"cannot serialize block {name!r} of {type(payload)}")
 
 
-def _read_block(src):
+def _read_block(src, version=FORMAT_VERSION):
     name = _read_str(src, "block name")
     (kind,) = struct.unpack("<B", _read_exact(src, 1, f"block {name!r}"))
     what = f"block {name!r}"
@@ -148,9 +169,11 @@ def _read_block(src):
         # read straight into the array: no bytes object to copy from
         if src.readinto(payload.reshape(-1).view(np.uint8)) != size:
             raise TruncatedModelFileError(f"file ends inside {what}")
-    elif kind == _KIND_STRS:
+    elif kind == _KIND_STRS and version == 1:
         (count,) = _U32.unpack(_read_exact(src, 4, what))
         payload = _read_strs(src, count, what)
+    elif kind == _KIND_STRS:
+        payload = _read_blob_strs(src, what)
     elif kind == _KIND_TEXT:
         payload = _read_str(src, what)
     else:
@@ -312,7 +335,8 @@ class _Parts(list):
 
 def save_model(model, path, kind, config_snapshot=""):
     """Write a model file; kind is the run's model name, e.g. "crf" or
-    "bilstm-crf". A model's embedding table is written with it."""
+    "bilstm-crf". A model's embedding table is written with it. A
+    string holding "\n" raises ModelFileError before the file is opened."""
     if isinstance(model, CrfModel):
         blocks = _crf_blocks(model)
     elif isinstance(model, NeuralTagger):
@@ -341,16 +365,17 @@ def load_model(path):
         if magic != MAGIC:
             raise NotAModelFileError(f"{path}: not a model file (bad magic)")
         (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
-        if version != FORMAT_VERSION:
+        # v1 differs from v2 only in its string-list blocks
+        if version not in (1, FORMAT_VERSION):
             raise VersionMismatchError(
-                f"{path}: format version {version}, this build reads {FORMAT_VERSION}"
+                f"{path}: format version {version}, this build reads 1 and {FORMAT_VERSION}"
             )
         kind = _read_str(fh, "model kind")
         snapshot = _read_str(fh, "config snapshot")
         (n_blocks,) = struct.unpack("<I", _read_exact(fh, 4, "block count"))
         blocks = {}
         for _ in range(n_blocks):
-            name, payload = _read_block(fh)
+            name, payload = _read_block(fh, version)
             blocks[name] = payload
         if fh.read(1):
             raise ModelFileError(f"{path}: trailing bytes after the last block")

@@ -77,7 +77,7 @@ class NeuralTrainConfig:
 
     def __post_init__(self):
         if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
+            raise ValueError("epochs must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if not 0.0 <= self.dropout < 1.0:

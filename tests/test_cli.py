@@ -95,6 +95,15 @@ def test_dump_features_position_out_of_range(sample_file, capsys):
     assert main(["dump-features", str(sample_file), "--sentence", "0", "--position", "99"]) == 1
 
 
+def test_plain_crf_takes_table_keys_unused(tmp_path, sample_file, capsys):
+    plain = crf_config(tmp_path, sample_file, tmp_path / "plain.bin", epochs=2)
+    assert main(["train", str(plain)]) == 0
+    config = crf_config(tmp_path, sample_file, tmp_path / "model.bin", epochs=2, dim=0)
+    assert main(["train", str(config)]) == 0
+    assert "error" not in capsys.readouterr().err
+    assert (tmp_path / "model.bin").read_bytes() == (tmp_path / "plain.bin").read_bytes()
+
+
 def test_dump_features_sentence_out_of_range(sample_file, capsys):
     assert main(["dump-features", str(sample_file), "--sentence", "1", "--position", "0"]) == 1
     captured = capsys.readouterr()
@@ -454,11 +463,12 @@ def test_crf_and_bilstm_logs_share_one_epoch_line(tmp_path):
         (dict(BILSTM, hidden_size=0), "hidden_size must be >= 1"),
         (dict(BILSTM, batch_size=0), "batch_size must be >= 1"),
         (dict(BILSTM, joint_loss_weight=-1), "joint_loss_weight must be >= 0"),
+        (dict(BILSTM, epochs=0), "epochs must be >= 1"),
     ],
     ids=[
         "dim-0", "min_n-0", "min_n-above-max_n", "crf-epochs-0", "crf-l2-negative",
         "crf-batch_size-0", "dropout-1", "patience-0", "hidden_size-0",
-        "bilstm-batch_size-0", "joint_loss_weight-negative",
+        "bilstm-batch_size-0", "joint_loss_weight-negative", "bilstm-epochs-0",
     ],
 )
 def test_out_of_range_config_is_usage_error(tmp_path, sample_file, capsys, extra, message):

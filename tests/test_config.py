@@ -53,7 +53,7 @@ def test_missing_model_rejected():
 
 
 def test_comments_and_blank_lines_allowed():
-    config = parse_config("# a run\n\nmodel = crf\nseed = 9\n")
+    config = parse_config("# a run\n\nmodel = bilstm-crf\nembedding = random\nseed = 9\n")
     assert config.trainer.seed == config.table.seed == 9
 
 
@@ -132,8 +132,8 @@ def test_echo_of_minimal_config_is_the_owning_defaults(model, embedding):
 
 @pytest.mark.parametrize("model, embedding", CELLS, ids=["-".join(c) for c in CELLS])
 def test_echo_round_trips(model, embedding):
-    # a run without embeddings echoes no table keys, so it sets none
-    table_keys = "" if embedding == "none" else "dim = 7\nbucket_count = 0\n"
+    # a run without embeddings accepts table keys unused and echoes none
+    table_keys = "dim = 7\nbucket_count = 0\n"
     config = parse_config(
         f"model = {model}\nembedding = {embedding}\ntask = joint\nseed = 5\n"
         "epochs = 3\nlearning_rate = 0.25\nbatch_size = 2\nl2 = 0.5\ndropout = 0.125\n"
@@ -146,7 +146,7 @@ def test_range_error_is_a_config_error():
     with pytest.raises(ConfigError, match=r"^l2 must be >= 0$"):
         parse_config("model = crf\nl2 = -1\n")
     with pytest.raises(ConfigError, match=r"^dim must be >= 1$"):
-        parse_config("model = crf\ndim = 0\n")
+        parse_config("model = crf\nembedding = pretrained-frozen\ndim = 0\n")
     with pytest.raises(ConfigError, match=r"^hidden_size must be >= 1$"):
         parse_config("model = bilstm-crf\nembedding = random\nhidden_size = 0\n")
 
@@ -156,6 +156,10 @@ def test_other_models_keys_are_accepted_and_unused():
     assert neural == parse_config("model = bilstm-crf\nembedding = random\n")
     crf = parse_config("model = crf\ndropout = 1.0\nhidden_size = 0\nbeta1 = 2\n")
     assert crf == parse_config("model = crf\n")
+    # a run without embeddings takes the table's keys unused too
+    plain = parse_config("model = crf\ndim = 0\nmin_n = 9\nmax_n = 2\nbucket_count = -1\n")
+    assert plain == crf
+    assert plain.table is None
     with pytest.raises(ConfigError, match="l2: expected a number"):
         parse_config("model = bilstm-crf\nembedding = random\nl2 = x\n")
 

@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 from synthgen import make_corpus
 
 from seqtag import NonFiniteLossError, crf
-from seqtag.corpus import NER_LABELS, NerLabel, Sentence, Token, parse_conll
+from seqtag.corpus import (
+    NER_LABELS,
+    POS_TAGS,
+    Corpus,
+    NerLabel,
+    Sentence,
+    Token,
+    parse_conll,
+)
 from seqtag.crf import (
     CrfModel,
     CrfTrainConfig,
@@ -338,6 +346,27 @@ def test_joint_training_and_projection():
     assert [f[0] for f in full] == projected
     assert all(isinstance(f, tuple) and len(f) == 2 for f in full)
     assert token_accuracy_on(model, corpus) >= 0.95
+
+
+def test_joint_validation_with_only_unseen_labels_scores_the_training_loss():
+    # every validation sentence holds a product label outside the training
+    # set, so none is scored: each epoch's validation loss is its training loss
+    corpus = make_corpus(10, seed=6)
+    seen = set(joint_task_labels(corpus))
+
+    def unseen_first_label(sentence):
+        first, *rest = sentence.tokens
+        pos = next(p for p in POS_TAGS if (first.ner, p) not in seen)
+        return Sentence((Token(first.surface, pos, first.ner), *rest))
+
+    unseen = Corpus(tuple(map(unseen_first_label, corpus)))
+    records = []
+    model = train_crf(corpus, unseen, small_config(epochs=4), task="joint", log=records)
+    assert [r["valid_loss"] for r in records] == [r["train_loss"] for r in records]
+    assert len(records) == 4
+    assert model.trained_on["best_valid_nll"] == min(r["train_loss"] for r in records)
+    unvalidated = train_crf(corpus, Corpus(()), small_config(epochs=4), task="joint")
+    assert model.state_weights.tobytes() == unvalidated.state_weights.tobytes()
 
 
 def test_training_with_embedding_features():

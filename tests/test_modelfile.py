@@ -2,6 +2,7 @@ import copy
 import hashlib
 import io
 import json
+import re
 import struct
 import tracemalloc
 import warnings
@@ -10,6 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import modelfile_v1
+from modelfile_v1 import GOLDEN_FEATURES, GOLDEN_KIND, GOLDEN_SNAPSHOT, golden_model
 from synthgen import make_corpus
 
 from seqtag.cli import main
@@ -452,76 +455,60 @@ def test_mutated_model_files_load_or_raise_model_file_error(model_images, data):
 
 
 # ---------------------------------------------------------------------------
-# format v1: a golden image and the string-list block
+# golden images: format v1 (read only) and format v2 (written)
 
-# feature keys in Myanmar script, one with U+00A0, an empty one, and two
-# of equal length ("p=ab", "p=cd") so that one can be turned into the other
-GOLDEN_FEATURES = [
-    "bias", "w=\u1019\u103c\u1014\u103a\u1019\u102c", "suf=\u102c",
-    "w=a\u00a0b", "", "p=ab", "p=cd",
-]
 GOLDEN_SHA256 = "e47bcb81f1070afdf5384822223f9606c82422b75364c67c975084b1b1358ff0"
-
-
-def golden_model():
-    labels = [
-        (NerLabel.parse("O"), "n"),
-        (NerLabel.parse("S-PER"), "n"),
-        (NerLabel.parse("B-LOC"), "fw"),
-    ]
-    table = EmbeddingTable(
-        vocab={"\u1000\u102d\u102f": 0, "caf\u00e9": 1, "na\u00efve": 2},
-        word_vectors=np.arange(6.0).reshape(3, 2) / 2,
-        ngram_buckets=np.arange(8.0).reshape(4, 2) / 4 - 1,
-        min_n=3,
-        max_n=5,
-        unk_vector=np.array([0.125, -0.5]),
-    )
-    return CrfModel(
-        labels=labels,
-        task="joint",
-        feature_index={key: i for i, key in enumerate(GOLDEN_FEATURES)},
-        state_weights=np.arange(21.0).reshape(7, 3) / 8 - 1,
-        transitions=np.array([[0.5, -1.0, 0.0], [1.5, 0.25, -2.0], [0.0, 3.0, -0.75]]),
-        embedding=table,
-    )
+GOLDEN_V2_SHA256 = "62348c66b7c277c28fec41d357c2616439b8c4664f67e9b3eacef0b5465e063f"
 
 
 @pytest.fixture
-def golden_image(tmp_path):
-    return save_model(golden_model(), tmp_path / "golden.bin", "crf", "model = crf\ntask = joint\n")
+def golden_image():
+    """The golden model in format v1, from the test-side writer."""
+    return modelfile_v1.golden_image()
 
 
-def test_golden_image_bytes_are_pinned(tmp_path, golden_image):
+@pytest.fixture
+def golden_v2_image(tmp_path):
+    return save_model(golden_model(), tmp_path / "golden.bin", GOLDEN_KIND, GOLDEN_SNAPSHOT)
+
+
+def test_golden_image_bytes_are_pinned(tmp_path, golden_image, golden_v2_image):
     assert hashlib.sha256(golden_image).hexdigest() == GOLDEN_SHA256
     path = tmp_path / "reloaded.bin"
     path.write_bytes(golden_image)
     model, kind, snapshot, _ = load_model(path)
     assert model.feature_index == golden_model().feature_index
-    assert save_model(model, tmp_path / "resaved.bin", kind, snapshot) == golden_image
+    # a v1 file re-saves as v2
+    assert save_model(model, tmp_path / "resaved.bin", kind, snapshot) == golden_v2_image
 
 
-def reference_strs_block(name, texts):
-    def one(text):
-        data = text.encode("utf-8")
-        return struct.pack("<I", len(data)) + data
+def test_golden_v2_image_bytes_are_pinned(tmp_path, golden_v2_image):
+    assert hashlib.sha256(golden_v2_image).hexdigest() == GOLDEN_V2_SHA256
+    assert golden_v2_image[4:8] == struct.pack("<I", FORMAT_VERSION) == struct.pack("<I", 2)
+    path = tmp_path / "reloaded.bin"
+    path.write_bytes(golden_v2_image)
+    model, kind, snapshot, _ = load_model(path)
+    assert (kind, snapshot) == (GOLDEN_KIND, GOLDEN_SNAPSHOT)
+    assert model.feature_index == golden_model().feature_index
+    assert model.embedding.vocab == golden_model().embedding.vocab
+    assert save_model(model, tmp_path / "resaved.bin", kind, snapshot) == golden_v2_image
 
-    return one(name) + struct.pack("<BI", 1, len(texts)) + b"".join(map(one, texts))
+
+# ---------------------------------------------------------------------------
+# format v1 string lists: a u32 length per string
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.text(st.characters(exclude_categories=("Cs",))), max_size=50))
 def test_string_list_block_round_trips_with_reference_bytes(texts):
-    out = io.BytesIO()
-    _write_block(out, "features", texts)
-    assert out.getvalue() == reference_strs_block("features", texts)
-    src = io.BytesIO(out.getvalue())
-    assert _read_block(src) == ("features", texts)
+    # v1 is no longer written: the reference bytes read back
+    src = io.BytesIO(modelfile_v1.strs_block("features", texts))
+    assert _read_block(src, 1) == ("features", texts)
     assert src.read() == b""
 
 
 def golden_key_at(image, key):
-    """Offset of the length field of a feature key in the image."""
+    """Offset of the length field of a feature key in a v1 image."""
     data = key.encode("utf-8")
     field = struct.pack("<I", len(data)) + data
     assert image.count(field) == 1
@@ -572,3 +559,129 @@ def test_duplicated_feature_key_rejected(tmp_path, golden_image):
     path.write_bytes(bytes(data))
     with pytest.raises(ModelFileError, match="malformed model blocks"):
         load_model(path)
+
+
+# ---------------------------------------------------------------------------
+# format v2 string lists: a count, a byte size and one "\n"-joined blob
+
+
+def reference_v2_strs_block(name, texts):
+    data = "\n".join(texts).encode("utf-8")
+    return (modelfile_v1.length_prefixed(name) + struct.pack("<BIQ", 1, len(texts), len(data))
+            + data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(st.characters(exclude_categories=("Cs",))), max_size=50))
+def test_v2_string_list_block_round_trips_with_reference_bytes(texts):
+    out = io.BytesIO()
+    if any("\n" in text for text in texts):
+        with pytest.raises(ModelFileError, match="holds a line break"):
+            _write_block(out, "features", texts)
+        return
+    _write_block(out, "features", texts)
+    assert out.getvalue() == reference_v2_strs_block("features", texts)
+    src = io.BytesIO(out.getvalue())
+    assert _read_block(src) == ("features", texts)
+    assert src.read() == b""
+
+
+def golden_blob_at(image):
+    """Offset of the features block's count field in a v2 image, and
+    the size of the count, byte size and blob together."""
+    data = "\n".join(GOLDEN_FEATURES).encode("utf-8")
+    field = struct.pack("<IQ", len(GOLDEN_FEATURES), len(data)) + data
+    assert image.count(field) == 1
+    return image.index(field), len(field)
+
+
+def test_every_cut_inside_the_v2_feature_blob_is_truncation(tmp_path, golden_v2_image):
+    at, size = golden_blob_at(golden_v2_image)
+    path = tmp_path / "cut.bin"
+    for cut in range(at, at + size):
+        path.write_bytes(golden_v2_image[:cut])
+        with pytest.raises(TruncatedModelFileError, match="file ends inside block 'features'"):
+            load_model(path)
+
+
+def test_invalid_utf8_in_the_v2_feature_blob_rejected(tmp_path, golden_v2_image):
+    at, _ = golden_blob_at(golden_v2_image)
+    data = bytearray(golden_v2_image)
+    data[data.index(b"p=cd", at)] = 0xFF
+    path = tmp_path / "utf8.bin"
+    path.write_bytes(bytes(data))
+    with pytest.raises(ModelFileError, match="block 'features' is not valid UTF-8"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("size", [2**28, 2**62])
+def test_v2_blob_size_past_the_end_rejected_before_reading(tmp_path, golden_v2_image, size):
+    at, _ = golden_blob_at(golden_v2_image)
+    data = bytearray(golden_v2_image)
+    data[at + 4 : at + 12] = struct.pack("<Q", size)
+    path = tmp_path / "size.bin"
+    path.write_bytes(bytes(data))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedModelFileError, match="file ends inside block 'features'"):
+            load_model(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "count, edit, split",
+    [(0, None, 7), (6, None, 7), (8, None, 7), (7, b"p\nab", 8)],
+    ids=["count-0", "count-6", "count-8", "line-break-in-blob"],
+)
+def test_v2_split_count_differing_from_header_rejected(tmp_path, golden_v2_image, count,
+                                                       edit, split):
+    at, _ = golden_blob_at(golden_v2_image)
+    data = bytearray(golden_v2_image)
+    data[at : at + 4] = struct.pack("<I", count)
+    if edit is not None:
+        key = data.index(b"p=ab", at)
+        data[key : key + 4] = edit
+    path = tmp_path / "count.bin"
+    path.write_bytes(bytes(data))
+    message = f"block 'features' holds {split} strings, its header says {count}"
+    with pytest.raises(ModelFileError, match=message):
+        load_model(path)
+
+
+def test_duplicated_feature_key_in_the_v2_blob_rejected(tmp_path, golden_v2_image):
+    at, _ = golden_blob_at(golden_v2_image)
+    data = bytearray(golden_v2_image)
+    key = data.index(b"p=cd", at)
+    data[key : key + 4] = b"p=ab"
+    path = tmp_path / "dup.bin"
+    path.write_bytes(bytes(data))
+    with pytest.raises(ModelFileError, match="malformed model blocks"):
+        load_model(path)
+
+
+def _break_feature_key(model):
+    model.feature_index = {key.replace("p=cd", "p=c\nd"): row
+                           for key, row in model.feature_index.items()}
+    return "features", "p=c\nd"
+
+
+def _break_vocab_word(model):
+    vocab = model.embedding.vocab
+    model.embedding.vocab = {word.replace("caf", "c\naf"): i for word, i in vocab.items()}
+    return "emb.vocab", "c\naf\u00e9"
+
+
+@pytest.mark.parametrize("break_string", [_break_feature_key, _break_vocab_word],
+                         ids=["feature-key", "vocab-word"])
+def test_string_with_a_line_break_refused_before_the_file_is_opened(tmp_path, break_string):
+    model = golden_model()
+    block, text = break_string(model)
+    path = tmp_path / "model.bin"
+    path.write_bytes(b"earlier bytes")
+    message = f"block {block!r}: string {text!r} holds a line break"
+    with pytest.raises(ModelFileError, match=f"^{re.escape(message)}$"):
+        save_model(model, path, GOLDEN_KIND, GOLDEN_SNAPSHOT)
+    assert path.read_bytes() == b"earlier bytes"
